@@ -1,17 +1,28 @@
 #!/usr/bin/env python3
 """Fluid-off golden digest gate.
 
-Runs every paper scenario (fig3/fig5/fig7/fig9 x corelite/csfq) through
-corelite_sim WITHOUT --fluid and compares the result digest against the
-committed manifest (tools/golden_digests.json).  The fluid machinery is
-compiled into the binary but disabled by default; any digest drift here
-means fluid-off is no longer bit-identical to the pure packet engine —
-the single most important invariant of the hybrid design.
+Runs every scenario cell through corelite_sim WITHOUT --fluid and
+compares the result digest against the committed manifest
+(tools/golden_digests.json).  The cells are:
+
+  - the paper scenarios fig3/fig5/fig7/fig9 at their default durations;
+  - short generated workloads on a parking lot, a fat tree and an ISP
+    graph (gen-pl4/gen-ft4/gen-isp16);
+
+each under all nine mechanisms, once on the serial engine and once with
+--lp 2.  Every cell gets its own per-run digest, so a change that moves
+one wiring path (one queue discipline, one topology family, the LP
+partition) names the cell it moved.
+
+The fluid machinery is compiled into the binary but disabled by default;
+any digest drift here means fluid-off is no longer bit-identical to the
+pure packet engine — the single most important invariant of the hybrid
+design.
 
 Digests depend on the scenarios' default seeds and durations and on the
-serial engine's event ordering.  After an INTENTIONAL behaviour change
-(new default, scheduler fix, ...) regenerate with --update and commit
-the new manifest alongside the change that explains it.
+engine's event ordering.  After an INTENTIONAL behaviour change (new
+default, scheduler fix, ...) regenerate with --update and commit the new
+manifest alongside the change that explains it.
 
 Exit status: 0 = all digests match, 1 = any drift (or missing digest).
 """
@@ -20,23 +31,41 @@ import argparse
 import json
 import re
 import subprocess
-import sys
+import tempfile
 from pathlib import Path
 
 MANIFEST = Path(__file__).resolve().parent / "golden_digests.json"
 
-SCENARIOS = ["fig3", "fig5", "fig7", "fig9"]
-MECHANISMS = ["corelite", "csfq"]
+# (scenario, extra CLI args): paper scenarios run their default length,
+# generated ones a short window that still covers arrivals and churn.
+SCENARIOS = [
+    ("fig3", []),
+    ("fig5", []),
+    ("fig7", []),
+    ("fig9", []),
+    ("gen-pl4-200", ["--duration", "20"]),
+    ("gen-ft4-200", ["--duration", "20"]),
+    ("gen-isp16-200", ["--duration", "20"]),
+]
+MECHANISMS = ["corelite", "csfq", "droptail", "red", "fred", "wfq", "ecnbit", "choke", "sfq"]
+LPS = [1, 2]
 
 
-def run_digest(binary, scenario, mechanism):
-    # The digest line only prints under --telemetry.
+def cell_key(scenario, mechanism, lp):
+    key = f"{scenario}/{mechanism}"
+    return key if lp == 1 else f"{key}/lp{lp}"
+
+
+def run_digest(binary, scenario, extra, mechanism, lp, workdir):
+    # The digest line only prints under --telemetry; the run manifest it
+    # also writes lands in the scratch working directory.
     out = subprocess.run(
-        [binary, "--scenario", scenario, "--mechanism", mechanism, "--telemetry"],
-        check=True, capture_output=True, text=True).stdout
+        [binary, "--scenario", scenario, "--mechanism", mechanism, "--lp", str(lp),
+         "--telemetry", *extra],
+        check=True, capture_output=True, text=True, cwd=workdir).stdout
     m = re.search(r"result digest: ([0-9a-f]+)", out)
     if not m:
-        raise SystemExit(f"{scenario}/{mechanism}: no 'result digest:' line in output")
+        raise SystemExit(f"{cell_key(scenario, mechanism, lp)}: no 'result digest:' line")
     return m.group(1)
 
 
@@ -46,21 +75,24 @@ def main():
     ap.add_argument("--update", action="store_true",
                     help="rewrite the manifest with freshly measured digests")
     args = ap.parse_args()
+    binary = str(Path(args.binary).resolve())
 
     manifest = json.loads(MANIFEST.read_text())
     failed = False
-    for scenario in SCENARIOS:
-        for mechanism in MECHANISMS:
-            key = f"{scenario}/{mechanism}"
-            got = run_digest(args.binary, scenario, mechanism)
-            if args.update:
-                manifest[key] = got
-                print(f"{key:16s} {got}")
-                continue
-            want = manifest.get(key)
-            ok = got == want
-            print(f"{key:16s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
-            failed = failed or not ok
+    with tempfile.TemporaryDirectory() as workdir:
+        for scenario, extra in SCENARIOS:
+            for mechanism in MECHANISMS:
+                for lp in LPS:
+                    key = cell_key(scenario, mechanism, lp)
+                    got = run_digest(binary, scenario, extra, mechanism, lp, workdir)
+                    if args.update:
+                        manifest[key] = got
+                        print(f"{key:28s} {got}")
+                        continue
+                    want = manifest.get(key)
+                    ok = got == want
+                    print(f"{key:28s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
+                    failed = failed or not ok
 
     if args.update:
         MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
