@@ -16,7 +16,7 @@ void register_scenario_options(ArgParser& parser) {
                     "gen-{pl<stages>|ft<k>|isp<routers>}-<flows>, e.g. gen-pl8-1000 "
                     "(append -steady for a churn-free steady-state population)");
   parser.add_string("mechanism", "corelite",
-                    "in-network mechanism: corelite, csfq, droptail, red, fred, wfq, ecnbit, choke, sfq");
+                    "in-network mechanism: " + scenario::mechanism_names());
   parser.add_string("selector", "stateless",
                     "corelite marker selector: stateless, cache");
   parser.add_string("detector", "epoch",
@@ -178,14 +178,26 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     }
     spec.fluid.dwell_checks = static_cast<std::size_t>(parser.get_int("fluid-dwell"));
   }
-  spec.corelite.core_epoch = sim::TimeDelta::millis(parser.get_double("epoch-ms"));
+  // A non-positive epoch (a zero-period core timer) or a negative link
+  // delay (packets arriving before they leave) keeps the engine from
+  // ever reaching the end of the run, so both are rejected up front.
+  const double epoch_ms = parser.get_double("epoch-ms");
+  if (!std::isfinite(epoch_ms) || epoch_ms <= 0.0) {
+    err << "--epoch-ms must be > 0, got " << epoch_ms << "\n";
+    return std::nullopt;
+  }
+  const double delay_ms = parser.get_double("link-delay-ms");
+  if (!std::isfinite(delay_ms) || delay_ms < 0.0) {
+    err << "--link-delay-ms must be >= 0, got " << delay_ms << "\n";
+    return std::nullopt;
+  }
+  spec.corelite.core_epoch = sim::TimeDelta::millis(epoch_ms);
   spec.corelite.k1 = parser.get_double("k1");
   spec.corelite.q_thresh_pkts = parser.get_double("qthresh");
   spec.corelite.k_cubic = parser.get_double("kcubic");
-  spec.topology.link_delay = sim::TimeDelta::millis(parser.get_double("link-delay-ms"));
+  spec.topology.link_delay = sim::TimeDelta::millis(delay_ms);
   if (spec.generated.has_value() && parser.was_set("link-delay-ms")) {
-    spec.generated->topology.cfg.link_delay =
-        sim::TimeDelta::millis(parser.get_double("link-delay-ms"));
+    spec.generated->topology.cfg.link_delay = sim::TimeDelta::millis(delay_ms);
   }
   return spec;
 }

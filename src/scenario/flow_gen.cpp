@@ -52,10 +52,13 @@ std::vector<GenFlow> generate_flows(const GeneratedTopology& topo, const FlowGen
 
     const auto n_src = static_cast<std::int64_t>(topo.sources.size());
     const auto n_snk = static_cast<std::int64_t>(topo.sinks.size());
-    f.src_router = topo.sources[static_cast<std::size_t>(rng.uniform_int(0, n_src - 1))];
-    f.dst_router = topo.sinks[static_cast<std::size_t>(rng.uniform_int(0, n_snk - 1))];
+    f.src_attach = static_cast<std::uint32_t>(rng.uniform_int(0, n_src - 1));
+    f.dst_attach = static_cast<std::uint32_t>(rng.uniform_int(0, n_snk - 1));
+    f.src_router = topo.sources[f.src_attach];
+    f.dst_router = topo.sinks[f.dst_attach];
     for (int attempt = 0; f.dst_router == f.src_router && attempt < 64; ++attempt) {
-      f.dst_router = topo.sinks[static_cast<std::size_t>(rng.uniform_int(0, n_snk - 1))];
+      f.dst_attach = static_cast<std::uint32_t>(rng.uniform_int(0, n_snk - 1));
+      f.dst_router = topo.sinks[f.dst_attach];
     }
     assert(f.dst_router != f.src_router && "topology offers no distinct sink");
 

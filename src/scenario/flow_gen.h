@@ -57,12 +57,14 @@ struct FlowGenConfig {
   bool record_series = true;
 };
 
-/// One generated flow: endpoints are ROUTER indices into the topology
-/// (the runner maps them to the per-router attach nodes it builds).
+/// One flow of a topology: its routers, and the attach nodes (indices
+/// into the topology's sources/sinks) the runner connects it through.
 struct GenFlow {
   net::FlowId id = 0;  ///< 1-based, dense
   std::uint32_t src_router = 0;
   std::uint32_t dst_router = 0;
+  std::uint32_t src_attach = 0;  ///< topology.sources[src_attach] == src_router
+  std::uint32_t dst_attach = 0;  ///< topology.sinks[dst_attach] == dst_router
   double weight = 1.0;
   std::vector<net::ActiveInterval> windows;  ///< valid_activity_windows holds
 };

@@ -1,7 +1,6 @@
 #include "scenario/paper_topology.h"
 
 #include <cassert>
-#include <string>
 
 namespace corelite::scenario {
 
@@ -26,95 +25,22 @@ std::vector<std::size_t> PaperTopology::congested_links(net::FlowId flow_1based)
   return out;
 }
 
-PaperTopology::PaperTopology(net::Network& network, std::size_t num_flows,
-                             PaperTopologyConfig cfg,
-                             const std::vector<std::uint32_t>* core_lp)
-    : cfg_{cfg} {
-  assert(core_lp == nullptr || core_lp->size() >= kCoreCount);
-  const auto lp_of_core = [core_lp](std::size_t i) {
-    return core_lp != nullptr ? (*core_lp)[i] : 0u;
-  };
-  for (std::size_t i = 0; i < kCoreCount; ++i) {
-    cores_.push_back(network.add_node("C" + std::to_string(i + 1), lp_of_core(i)));
-  }
-  for (std::size_t i = 0; i + 1 < kCoreCount; ++i) {
-    // The forward (congested) direction runs the configured discipline;
-    // the reverse direction carries only control traffic and stays
-    // drop-tail.
-    switch (cfg_.core_queue) {
-      case CoreQueueKind::Red: {
-        auto red_cfg = cfg_.red;
-        red_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::RedQueue>(red_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Fred: {
-        auto fred_cfg = cfg_.fred;
-        fred_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::FredQueue>(fred_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Choke: {
-        auto choke_cfg = cfg_.choke;
-        choke_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::ChokeQueue>(choke_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Sfq: {
-        const std::size_t per_band =
-            std::max<std::size_t>(2, cfg_.queue_capacity_packets / cfg_.sfq_bands);
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::SfqQueue>(cfg_.sfq_bands, per_band));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Wfq: {
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::WfqQueue>(cfg_.queue_capacity_packets, cfg_.wfq_weight_of));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::DropTail:
-        network.connect_duplex(cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-                               cfg_.queue_capacity_packets);
-        break;
-    }
-  }
-  endpoints_.reserve(num_flows);
+GeneratedTopology make_paper_chain(const PaperTopologyConfig& cfg, std::size_t num_flows) {
+  TopologyGenConfig gen;
+  gen.core_rate = cfg.link_rate;
+  gen.access_rate = cfg.link_rate;
+  gen.link_delay = cfg.link_delay;
+  gen.queue_capacity_packets = cfg.queue_capacity_packets;
+  gen.packet_size = cfg.packet_size;
+  GeneratedTopology t = make_parking_lot(PaperTopology::kCongestedLinks, gen);
+  t.sources.clear();
+  t.sinks.clear();
   for (std::size_t f = 1; f <= num_flows; ++f) {
-    const auto [entry, exit] = core_span(static_cast<net::FlowId>(f));
-    FlowEndpoints ep;
-    ep.entry_core = entry;
-    ep.exit_core = exit;
-    ep.ingress = network.add_node("E" + std::to_string(f) + "in", lp_of_core(entry));
-    ep.egress = network.add_node("E" + std::to_string(f) + "out", lp_of_core(exit));
-    network.connect_duplex(ep.ingress, cores_[entry], cfg_.link_rate, cfg_.link_delay,
-                           cfg_.queue_capacity_packets);
-    network.connect_duplex(cores_[exit], ep.egress, cfg_.link_rate, cfg_.link_delay,
-                           cfg_.queue_capacity_packets);
-    endpoints_.push_back(ep);
+    const auto [entry, exit] = PaperTopology::core_span(static_cast<net::FlowId>(f));
+    t.sources.push_back(static_cast<std::uint32_t>(entry));
+    t.sinks.push_back(static_cast<std::uint32_t>(exit));
   }
-}
-
-net::Link* PaperTopology::congested_link(net::Network& network, std::size_t i) const {
-  assert(i + 1 < kCoreCount);
-  return network.find_link(cores_[i], cores_[i + 1]);
+  return t;
 }
 
 }  // namespace corelite::scenario

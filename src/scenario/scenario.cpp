@@ -3,51 +3,38 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <deque>
-#include <memory>
 #include <string_view>
 #include <utility>
 
-#include "csfq/core.h"
-#include "csfq/edge_router.h"
-#include "net/network.h"
-#include "qos/core_router.h"
-#include "qos/ecn.h"
-#include "qos/edge_router.h"
-#include "sim/fluid/controller.h"
-#include "sim/fluid/warp.h"
-#include "sim/hotpath.h"
-#include "sim/parallel/lp_partition.h"
-#include "sim/parallel/lp_runtime.h"
-#include "sim/simulator.h"
+#include "sim/random.h"
 #include "stats/fairness.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::scenario {
 
-std::string mechanism_name(Mechanism m) {
-  switch (m) {
-    case Mechanism::Corelite: return "corelite";
-    case Mechanism::Csfq: return "csfq";
-    case Mechanism::DropTail: return "droptail";
-    case Mechanism::Red: return "red";
-    case Mechanism::Fred: return "fred";
-    case Mechanism::Wfq: return "wfq";
-    case Mechanism::EcnBit: return "ecnbit";
-    case Mechanism::Choke: return "choke";
-    case Mechanism::Sfq: return "sfq";
+const MechanismRow& mechanism_row(Mechanism m) {
+  for (const MechanismRow& row : kMechanisms) {
+    if (row.mechanism == m) return row;
   }
-  return "unknown";
+  assert(false && "every Mechanism has a table row");
+  return kMechanisms[0];
 }
 
+std::string mechanism_name(Mechanism m) { return mechanism_row(m).name; }
+
 std::optional<Mechanism> mechanism_from_name(const std::string& name) {
-  for (Mechanism m : {Mechanism::Corelite, Mechanism::Csfq, Mechanism::DropTail, Mechanism::Red,
-                      Mechanism::Fred, Mechanism::Wfq, Mechanism::EcnBit, Mechanism::Choke,
-                      Mechanism::Sfq}) {
-    if (mechanism_name(m) == name) return m;
+  for (const MechanismRow& row : kMechanisms) {
+    if (name == row.name) return row.mechanism;
   }
   return std::nullopt;
+}
+
+std::string mechanism_names() {
+  std::string out;
+  for (const MechanismRow& row : kMechanisms) {
+    if (!out.empty()) out += ", ";
+    out += row.name;
+  }
+  return out;
 }
 
 namespace {
@@ -134,479 +121,12 @@ std::optional<ScenarioSpec> scenario_by_name(const std::string& name, Mechanism 
   return generated_scenario_from_name(name, m);
 }
 
-namespace {
-
-// Records the virtual time of every data drop on a link.
-struct DropRecorder final : net::LinkObserver {
-  net::Link* link = nullptr;
-  std::vector<double>* sink = nullptr;
-  ~DropRecorder() override {
-    if (link != nullptr) link->remove_observer(this);
-  }
-  void on_drop(const net::Packet& p, sim::SimTime now) override {
-    if (p.is_data()) sink->push_back(now.sec());
-  }
-  void on_link_destroyed(net::Link& /*l*/) override { link = nullptr; }
-};
-
-net::FlowSpec make_flow_spec(const ScenarioSpec& spec, std::size_t i /*0-based*/,
-                             const FlowEndpoints& ep) {
-  net::FlowSpec fs;
-  fs.id = static_cast<net::FlowId>(i + 1);
-  fs.ingress = ep.ingress;
-  fs.egress = ep.egress;
-  fs.weight = spec.weights.at(i);
-  if (i < spec.activity.size() && !spec.activity[i].empty()) {
-    fs.active = spec.activity[i];
-  }
-  if (i < spec.min_rates.size()) fs.min_rate_pps = spec.min_rates[i];
-  if (i < spec.flood_pps.size()) fs.flood_pps = spec.flood_pps[i];
-  return fs;
-}
-
-}  // namespace
-
-ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
-  if (spec.generated.has_value()) return run_generated_scenario(spec);
-  assert(spec.weights.size() == spec.num_flows && "one weight per flow required");
-
-  // LP partition of the four-core chain: the three inter-core links are
-  // the only candidate cut links (every flow's attach nodes follow its
-  // entry/exit core), so the paper topology supports at most 4 LPs and
-  // the lookahead is the core link propagation delay.
-  sim::par::LpPlan plan;
-  if (spec.lp > 1) {
-    sim::par::LpGraph g;
-    g.nodes = PaperTopology::kCoreCount;
-    for (std::uint32_t i = 0; i + 1 < PaperTopology::kCoreCount; ++i) {
-      g.edges.push_back({i, i + 1, spec.topology.link_delay.sec(), true});
-    }
-    plan = sim::par::partition_lp_graph(g, spec.lp);
-    if (plan.zero_lookahead_fallback) {
-      std::fprintf(stderr,
-                   "corelite: --lp %zu requires positive core link delay for lookahead; "
-                   "falling back to the serial engine\n",
-                   spec.lp);
-    } else if (plan.lp_count < plan.requested) {
-      std::fprintf(stderr, "corelite: --lp %zu clamped to %zu LPs (paper topology has %zu cores)\n",
-                   spec.lp, plan.lp_count, PaperTopology::kCoreCount);
-    }
-  }
-  const bool lp_mode = plan.lp_count > 1;
-
-  // Fluid fast-forward rides the single serial engine clock; the LP
-  // engine's barrier windows have no notion of a shared experiment-time
-  // offset, so lp > 1 falls back to pure packet mode (same precedent as
-  // the telemetry instrument hook).
-  sim::fluid::FluidConfig fluid_cfg = spec.fluid;
-  if (fluid_cfg.enabled && lp_mode) {
-    std::fprintf(stderr,
-                 "corelite: fluid fast-forward is serial-only; running --lp %zu in pure "
-                 "packet mode\n",
-                 spec.lp);
-    fluid_cfg.enabled = false;
-  }
-  const bool fluid_on = fluid_cfg.enabled;
-
-  sim::par::LpRuntime lp_rt{plan.lp_count, spec.seed, plan.lookahead, spec.lp_threads};
-  if (spec.lp_probe != nullptr) lp_rt.set_probe(spec.lp_probe);
-  sim::Simulator& simulator = lp_rt.lp_sim(0);
-  std::unique_ptr<sim::fluid::TimeWarp> warp;
-  if (fluid_on) warp = std::make_unique<sim::fluid::TimeWarp>(simulator);
-  net::Network network{lp_rt};
-  PaperTopologyConfig topo_cfg = spec.topology;
-  if (spec.mechanism == Mechanism::Red) topo_cfg.core_queue = CoreQueueKind::Red;
-  if (spec.mechanism == Mechanism::Fred) topo_cfg.core_queue = CoreQueueKind::Fred;
-  if (spec.mechanism == Mechanism::Choke) topo_cfg.core_queue = CoreQueueKind::Choke;
-  if (spec.mechanism == Mechanism::Sfq) topo_cfg.core_queue = CoreQueueKind::Sfq;
-  if (spec.mechanism == Mechanism::Wfq) {
-    topo_cfg.core_queue = CoreQueueKind::Wfq;
-    // The stateful reference: core routers know every flow's weight.
-    const std::vector<double> weights = spec.weights;
-    topo_cfg.wfq_weight_of = [weights](net::FlowId f) {
-      return (f >= 1 && f <= weights.size()) ? weights[f - 1] : 1.0;
-    };
-  }
-  PaperTopology topo{network, spec.num_flows, topo_cfg,
-                     lp_mode ? &plan.lp_of_node : nullptr};
-  network.build_routes();
-
-  ScenarioResult result;
-  stats::FlowTracker& tracker = result.tracker;
-
-  // Egress sinks: count delivered data packets per flow, with one-way
-  // delay measured from the edge's emission timestamp.  The sink reads
-  // its own node's clock — in LP mode that is the egress LP's simulator
-  // (the single writer of this flow's delivery counters), serially it is
-  // the one global simulator, exactly as before.
-  for (std::size_t i = 0; i < spec.num_flows; ++i) {
-    const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-    network.node(ep.egress).set_local_sink(
-        [&tracker, &snk_sim = network.local_sim(ep.egress)](net::Packet&& p) {
-          if (p.is_data()) tracker.on_delivered(p.flow, snk_sim.now() - p.created);
-        });
-  }
-
-  if (spec.control_loss_rate > 0.0) {
-    for (const auto& link : network.links()) {
-      link->set_control_loss_rate(spec.control_loss_rate);
-    }
-  }
-
-  // Drop timing on the three congested links.  In LP mode each recorder
-  // writes a private vector (links live on different LPs); the vectors
-  // are merged and time-sorted after the run.
-  std::vector<std::unique_ptr<DropRecorder>> drop_recorders;
-  std::deque<std::vector<double>> lp_drop_sinks;
-  for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-    if (auto* l = topo.congested_link(network, i)) {
-      auto rec = std::make_unique<DropRecorder>();
-      rec->link = l;
-      if (lp_mode) {
-        lp_drop_sinks.emplace_back();
-        rec->sink = &lp_drop_sinks.back();
-      } else {
-        rec->sink = &result.drop_times;
-      }
-      l->add_observer(rec.get(), net::Link::kObserveDrop);
-      drop_recorders.push_back(std::move(rec));
-    }
-  }
-
-  // Mechanism wiring.  Edge routers install themselves as the ingress
-  // nodes' local sinks; core machinery attaches to the core nodes' links.
-  std::vector<std::unique_ptr<qos::CoreliteEdgeRouter>> cl_edges;
-  std::vector<std::unique_ptr<qos::CoreliteCoreRouter>> cl_cores;
-  std::vector<std::unique_ptr<csfq::CsfqEdgeRouter>> csfq_edges;
-  std::vector<std::unique_ptr<csfq::CsfqCoreRouter>> csfq_cores;
-  std::vector<std::unique_ptr<csfq::LossNotifyingCoreRouter>> droptail_cores;
-  std::vector<std::unique_ptr<qos::EcnCoreRouter>> ecn_cores;
-  std::vector<std::unique_ptr<qos::EcnEgressAgent>> ecn_agents;
-
-  switch (spec.mechanism) {
-    case Mechanism::Corelite: {
-      for (net::NodeId c : topo.cores()) {
-        cl_cores.push_back(
-            std::make_unique<qos::CoreliteCoreRouter>(network, c, spec.corelite));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge = std::make_unique<qos::CoreliteEdgeRouter>(network, ep.ingress,
-                                                              spec.corelite, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        cl_edges.push_back(std::move(edge));
-      }
-      break;
-    }
-    case Mechanism::Csfq: {
-      for (net::NodeId c : topo.cores()) {
-        csfq_cores.push_back(std::make_unique<csfq::CsfqCoreRouter>(network, c, spec.csfq));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge =
-            std::make_unique<csfq::CsfqEdgeRouter>(network, ep.ingress, spec.csfq, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        csfq_edges.push_back(std::move(edge));
-      }
-      break;
-    }
-    case Mechanism::EcnBit: {
-      // Binary-marking control: same Corelite edges, but cores set the
-      // DECbit instead of echoing markers; the egress echoes marked
-      // packets back as unweighted feedback.
-      for (net::NodeId c : topo.cores()) {
-        ecn_cores.push_back(std::make_unique<qos::EcnCoreRouter>(network, c, spec.corelite));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge = std::make_unique<qos::CoreliteEdgeRouter>(network, ep.ingress,
-                                                              spec.corelite, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        cl_edges.push_back(std::move(edge));
-        auto agent = std::make_unique<qos::EcnEgressAgent>(network, ep.egress);
-        qos::EcnEgressAgent* agent_ptr = agent.get();
-        ecn_agents.push_back(std::move(agent));
-        network.node(ep.egress).set_local_sink(
-            [&tracker, &snk_sim = network.local_sim(ep.egress), agent_ptr](net::Packet&& p) {
-              if (p.is_data()) {
-                tracker.on_delivered(p.flow, snk_sim.now() - p.created);
-                agent_ptr->on_data(p);
-              }
-            });
-      }
-      break;
-    }
-    case Mechanism::DropTail:
-    case Mechanism::Red:
-    case Mechanism::Fred:
-    case Mechanism::Choke:
-    case Mechanism::Sfq:
-    case Mechanism::Wfq: {
-      // Both baselines are "dumb core + loss-reactive sources"; they
-      // differ only in the core queue discipline (set above).
-      for (net::NodeId c : topo.cores()) {
-        droptail_cores.push_back(std::make_unique<csfq::LossNotifyingCoreRouter>(network, c));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge =
-            std::make_unique<csfq::CsfqEdgeRouter>(network, ep.ingress, spec.csfq, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        csfq_edges.push_back(std::move(edge));
-      }
-      break;
-    }
-  }
-
-  // Fluid fast-forward controller: watches per-flow throughput EWMAs and,
-  // once every flow sits inside the convergence band for the dwell
-  // window AND the measured rates agree with the analytic water-filling
-  // allocation, compresses the experiment timeline (simulator.exp_now()
-  // jumps ahead of the engine clock; the warp registry caps each jump at
-  // the next activity-window boundary).
-  std::unique_ptr<sim::fluid::FluidController> fluid_ctl;
-  if (fluid_on) {
-    fluid_cfg.synth_sample_period = spec.cumulative_sample_period;
-    fluid_ctl = std::make_unique<sim::fluid::FluidController>(simulator, *warp, tracker,
-                                                              fluid_cfg, spec.duration);
-    fluid_ctl->set_link_capacities(
-        std::vector<double>(PaperTopology::kCongestedLinks, topo.capacity_pps()));
-    for (std::size_t i = 0; i < spec.num_flows; ++i) {
-      const auto id = static_cast<net::FlowId>(i + 1);
-      std::vector<std::uint32_t> links;
-      for (std::size_t l : PaperTopology::congested_links(id)) {
-        links.push_back(static_cast<std::uint32_t>(l));
-      }
-      fluid_ctl->add_flow(id, spec.weights.at(i), std::move(links));
-    }
-    if (spec.fluid_probe != nullptr) fluid_ctl->set_probe(spec.fluid_probe);
-    fluid_ctl->start();
-  }
-
-  // Queue-length sampling on the congested links.  Serially one timer
-  // samples all three; in LP mode each congested link is sampled by a
-  // timer on its from-node's LP (the link's owner), keeping every
-  // observation single-threaded.
-  result.queue_series.resize(PaperTopology::kCongestedLinks);
-  std::vector<sim::PeriodicHandle> samplers;
-  if (!lp_mode) {
-    samplers.push_back(simulator.every(sim::TimeDelta::millis(100), [&] {
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (auto* l = topo.congested_link(network, i)) {
-          result.queue_series[i].add(simulator.exp_now().sec(),
-                                     static_cast<double>(l->queued_data_packets()));
-        }
-      }
-    }));
-  } else {
-    for (std::size_t lp = 0; lp < plan.lp_count; ++lp) {
-      std::vector<std::size_t> owned;
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (network.lp_of(topo.core(i)) == lp) owned.push_back(i);
-      }
-      if (owned.empty()) continue;
-      sim::Simulator& lsim = lp_rt.lp_sim(lp);
-      samplers.push_back(lsim.every(
-          sim::TimeDelta::millis(100), [&result, &topo, &network, &lsim, owned] {
-            for (std::size_t i : owned) {
-              if (auto* l = topo.congested_link(network, i)) {
-                result.queue_series[i].add(lsim.now().sec(),
-                                           static_cast<double>(l->queued_data_packets()));
-              }
-            }
-          }));
-    }
-  }
-
-  // Periodic cumulative-service sampling (Figure 4's series).  The LP
-  // variant shards flows by egress LP so each series has one writer —
-  // the same LP that bumps the flow's delivered counter.
-  tracker.sample_cumulative(simulator.exp_now());
-  if (!lp_mode) {
-    samplers.push_back(simulator.every(spec.cumulative_sample_period, [&tracker, &simulator] {
-      tracker.sample_cumulative(simulator.exp_now());
-    }));
-  } else {
-    for (std::size_t lp = 0; lp < plan.lp_count; ++lp) {
-      std::vector<net::FlowId> owned;
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        if (network.lp_of(ep.egress) == lp) owned.push_back(static_cast<net::FlowId>(i + 1));
-      }
-      if (owned.empty()) continue;
-      sim::Simulator& lsim = lp_rt.lp_sim(lp);
-      samplers.push_back(lsim.every(
-          spec.cumulative_sample_period, [&tracker, &lsim, owned = std::move(owned)] {
-            tracker.sample_cumulative(lsim.now(), owned);
-          }));
-    }
-  }
-
-  // Fairness auditor (opt-in): per-window oracle-deviation telemetry on
-  // the serial engine only.  Its sampler adds simulation events — that
-  // is the audit-on/off digest split documented in ScenarioSpec::audit —
-  // and its gauges read live link/core state, so it follows the same
-  // serial-only precedent as the instrument hook below.
-  telemetry::FairnessAuditConfig audit_cfg = spec.audit;
-  if (audit_cfg.enabled && lp_mode) {
-    std::fprintf(stderr,
-                 "corelite: the fairness audit is not supported with --lp > 1; "
-                 "skipping the auditor for this run\n");
-    audit_cfg.enabled = false;
-  }
-  std::unique_ptr<telemetry::FairnessAuditor> auditor;
-  if (audit_cfg.enabled) {
-    std::vector<telemetry::FairnessAuditor::FlowInfo> audit_flows;
-    audit_flows.reserve(spec.num_flows);
-    for (std::size_t i = 0; i < spec.num_flows; ++i) {
-      const auto id = static_cast<net::FlowId>(i + 1);
-      telemetry::FairnessAuditor::FlowInfo fi;
-      fi.id = id;
-      fi.weight = spec.weights.at(i);
-      for (std::size_t l : PaperTopology::congested_links(id)) {
-        fi.links.push_back(static_cast<std::uint32_t>(l));
-      }
-      audit_flows.push_back(std::move(fi));
-    }
-    // Activity oracle over the spec's half-open windows (empty list =
-    // always on) — the same ground truth the edges schedule from.
-    auto active_fn = [&spec](net::FlowId id, double t_sec) {
-      const std::size_t i = static_cast<std::size_t>(id) - 1;
-      if (i >= spec.activity.size() || spec.activity[i].empty()) return true;
-      for (const auto& iv : spec.activity[i]) {
-        if (t_sec >= iv.start.sec() && t_sec < iv.stop.sec()) return true;
-      }
-      return false;
-    };
-    auditor = std::make_unique<telemetry::FairnessAuditor>(
-        audit_cfg, tracker,
-        std::vector<double>(PaperTopology::kCongestedLinks, topo.capacity_pps()),
-        std::move(audit_flows), std::move(active_fn));
-    // Engine gauges for the flight recorder: congested-link occupancy,
-    // plus the CSFQ fair-share estimate α on each congested link.
-    for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-      auditor->add_gauge("queue.core" + std::to_string(i),
-                         [&network, &topo, i]() -> double {
-                           auto* l = topo.congested_link(network, i);
-                           return l != nullptr
-                                      ? static_cast<double>(l->queued_data_packets())
-                                      : 0.0;
-                         });
-    }
-    if (spec.mechanism == Mechanism::Csfq) {
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        const net::NodeId from = topo.core(i);
-        const net::NodeId to = topo.core(i + 1);
-        for (const auto& c : csfq_cores) {
-          if (c->node() != from) continue;
-          const csfq::CsfqCoreRouter* core = c.get();
-          auditor->add_gauge("csfq.alpha.core" + std::to_string(i),
-                             [core, to]() -> double {
-                               const auto* pol = core->policy_for(to);
-                               return pol != nullptr ? pol->alpha() : 0.0;
-                             });
-        }
-      }
-    }
-    samplers.push_back(simulator.every(audit_cfg.window, [&simulator, aud = auditor.get()] {
-      aud->on_window(simulator.exp_now());
-    }));
-  }
-
-  // Telemetry hook last, so collectors see the fully wired network.
-  // Collector callbacks are not thread-safe, so the hook is serial-only.
-  if (spec.instrument) {
-    if (lp_mode) {
-      std::fprintf(stderr,
-                   "corelite: telemetry instrumentation is not supported with --lp > 1; "
-                   "skipping collectors for this run\n");
-    } else {
-      std::vector<net::Link*> congested;
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (auto* l = topo.congested_link(network, i)) congested.push_back(l);
-      }
-      spec.instrument(network, congested);
-    }
-  }
-
-  if (fluid_on) {
-    // Each fast-forward jump stop()s the engine so the offset bump takes
-    // effect between events; resume until experiment time reaches the
-    // requested duration (engine deadline shrinks by the skipped span).
-    while (simulator.now() < spec.duration - simulator.exp_offset()) {
-      simulator.run_until(spec.duration - simulator.exp_offset());
-    }
-  } else {
-    lp_rt.run_until(spec.duration);
-  }
-  for (auto& s : samplers) s.cancel();
-  tracker.sample_cumulative(simulator.exp_now());
-  if (lp_mode) {
-    for (const auto& sink : lp_drop_sinks) {
-      result.drop_times.insert(result.drop_times.end(), sink.begin(), sink.end());
-    }
-    std::sort(result.drop_times.begin(), result.drop_times.end());
-  }
-
-  // Global accounting.
-  result.events_processed = lp_rt.events_processed();
-  if (fluid_ctl) result.fluid_stats = fluid_ctl->stats();
-  if (auditor) {
-    result.audit_report = std::make_unique<telemetry::FairnessAuditReport>(auditor->take_report());
-  }
-  result.unrouteable = network.unrouteable_count();
-  for (net::NodeId c : topo.cores()) {
-    std::size_t state = 0;
-    for (net::Link* l : network.node(c).out_links()) {
-      state += l->queue().flow_state_entries();
-    }
-    result.core_flow_state = std::max(result.core_flow_state, state);
-  }
-  for (const auto& link : network.links()) result.total_data_drops += link->stats().dropped;
-  // Drops synthesized during fast-forwarded spans never cross a link,
-  // so fold them into the global count here (congested_link_drops stays
-  // a pure link-level observation).
-  result.total_data_drops += result.fluid_stats.synth_dropped;
-  for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-    if (auto* l = topo.congested_link(network, i)) {
-      result.congested_link_drops += l->stats().dropped;
-    }
-  }
-  for (const auto& e : cl_edges) result.markers_injected += e->markers_injected();
-  for (const auto& e : cl_edges) result.feedback_messages += e->feedback_received();
-  for (const auto& e : csfq_edges) result.feedback_messages += e->loss_notices_received();
-  // Mean q_avg per congested link (Corelite only).
-  if (spec.mechanism == Mechanism::Corelite) {
-    for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-      const net::NodeId from = topo.core(i);
-      const net::NodeId to = topo.core(i + 1);
-      for (const auto& c : cl_cores) {
-        if (c->node() != from) continue;
-        for (const auto& d : c->diagnostics()) {
-          if (d.link_to == to && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
-            result.mean_q_avg.push_back(
-                d.q_avg_series->average_over(0.0, spec.duration.sec()));
-          }
-        }
-      }
-    }
-  }
-  sim::flush_hotpath_counters();
-  telemetry::flush_thread_metrics();
-  return result;
-}
-
 std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec, sim::SimTime t) {
   // The water-filling oracle models the paper's fixed three-link chain;
   // generated topologies have no closed-form here (the sweep falls back
   // to weight-normalized delivered throughput for them).
   if (spec.generated.has_value()) return {};
-  const double cap = PaperTopologyConfig{spec.topology}.link_rate.pps(spec.topology.packet_size);
+  const double cap = spec.topology.link_rate.pps(spec.topology.packet_size);
   std::vector<double> caps(PaperTopology::kCongestedLinks, cap);
   std::vector<stats::MaxMinFlow> flows;
   for (std::size_t i = 0; i < spec.num_flows; ++i) {

@@ -2,11 +2,12 @@
 // series the figures plot.
 //
 // A ScenarioSpec fully describes one run: the mechanism under test
-// (Corelite with either selector, weighted CSFQ, or the naive drop-tail
-// baseline), the flow population (weights + activity windows) and the
-// protocol/topology parameters.  run_paper_scenario() builds the
-// Figure-2 network, wires up the mechanism, runs the simulation and
-// returns per-flow rate and cumulative-service time series plus global
+// (one row of the mechanism table below), the flow population (weights
+// + activity windows, or a generated workload) and the protocol/topology
+// parameters.  run_paper_scenario() builds the network — the Figure-2
+// chain or a generated topology, both as one GeneratedTopology
+// description — wires up the mechanism, runs the simulation and returns
+// per-flow rate and cumulative-service time series plus global
 // counters.  Factory functions produce the exact specs behind each of
 // the paper's figures.
 #pragma once
@@ -22,6 +23,7 @@
 
 #include "csfq/config.h"
 #include "net/flow.h"
+#include "net/network.h"
 #include "qos/config.h"
 #include "scenario/flow_gen.h"
 #include "scenario/paper_topology.h"
@@ -46,10 +48,69 @@ enum class Mechanism {
   Sfq,       ///< stochastic fair queueing (hashed bands) + loss notification
 };
 
+/// Queue discipline on router-router links.
+enum class CoreQueueKind {
+  DropTail,  ///< paper default
+  Red,       ///< related-work baseline (Floyd & Jacobson)
+  Fred,      ///< related-work baseline (Lin & Morris)
+  Wfq,       ///< Intserv-style stateful reference (weighted fair queueing)
+  Choke,     ///< CHOKe stateless AQM (Pan, Prabhakar & Psounis)
+  Sfq,       ///< stochastic fair queueing: hashed round-robin bands
+};
+
+/// Edge router at each source attach node.
+enum class EdgeKind {
+  Corelite,  ///< qos::CoreliteEdgeRouter: marker-driven LIMD shaping
+  Csfq,      ///< csfq::CsfqEdgeRouter: labels packets, reacts to loss notices
+};
+
+/// Core machinery on every router.
+enum class CoreKind {
+  Corelite,       ///< qos::CoreliteCoreRouter: echoes selected markers
+  Csfq,           ///< csfq::CsfqCoreRouter: probabilistic label-based drops
+  Ecn,            ///< qos::EcnCoreRouter: sets the congestion bit
+  LossNotifying,  ///< csfq::LossNotifyingCoreRouter: reports every drop
+};
+
+/// One mechanism's wiring: everything the runner, the names and the CLI
+/// know about it.  Adding a mechanism is one row here (plus a queue
+/// factory case if it brings a new discipline).
+struct MechanismRow {
+  Mechanism mechanism;
+  const char* name;
+  CoreQueueKind queue;
+  EdgeKind edge;
+  CoreKind core;
+  bool ecn_egress;  ///< egress echoes marked packets (qos::EcnEgressAgent)
+};
+
+inline constexpr MechanismRow kMechanisms[] = {
+    {Mechanism::Corelite, "corelite", CoreQueueKind::DropTail, EdgeKind::Corelite,
+     CoreKind::Corelite, false},
+    {Mechanism::Csfq, "csfq", CoreQueueKind::DropTail, EdgeKind::Csfq, CoreKind::Csfq, false},
+    {Mechanism::DropTail, "droptail", CoreQueueKind::DropTail, EdgeKind::Csfq,
+     CoreKind::LossNotifying, false},
+    {Mechanism::Red, "red", CoreQueueKind::Red, EdgeKind::Csfq, CoreKind::LossNotifying, false},
+    {Mechanism::Fred, "fred", CoreQueueKind::Fred, EdgeKind::Csfq, CoreKind::LossNotifying,
+     false},
+    {Mechanism::Wfq, "wfq", CoreQueueKind::Wfq, EdgeKind::Csfq, CoreKind::LossNotifying, false},
+    {Mechanism::EcnBit, "ecnbit", CoreQueueKind::DropTail, EdgeKind::Corelite, CoreKind::Ecn,
+     true},
+    {Mechanism::Choke, "choke", CoreQueueKind::Choke, EdgeKind::Csfq, CoreKind::LossNotifying,
+     false},
+    {Mechanism::Sfq, "sfq", CoreQueueKind::Sfq, EdgeKind::Csfq, CoreKind::LossNotifying, false},
+};
+
+/// The table row of m.
+[[nodiscard]] const MechanismRow& mechanism_row(Mechanism m);
+
 [[nodiscard]] std::string mechanism_name(Mechanism m);
 
 /// Inverse of mechanism_name: nullopt for an unknown name.
 [[nodiscard]] std::optional<Mechanism> mechanism_from_name(const std::string& name);
+
+/// Every mechanism name in table order, joined by ", ".
+[[nodiscard]] std::string mechanism_names();
 
 struct ScenarioSpec {
   Mechanism mechanism = Mechanism::Corelite;
@@ -60,7 +121,8 @@ struct ScenarioSpec {
   /// activity[i] are the activity windows of flow i+1; empty vector
   /// means always-on.
   std::vector<std::vector<net::ActiveInterval>> activity;
-  /// Optional per-flow minimum rate contracts (pkt/s); empty = none.
+  /// Optional per-flow minimum rate contracts (pkt/s) by 1-based flow
+  /// id, generated populations included; empty = none.
   std::vector<double> min_rates;
   /// Optional unresponsive-flood injection: flood_pps[i] > 0 makes
   /// 1-based flow i+1 ignore the adaptation protocol and blast at that
@@ -113,8 +175,9 @@ struct ScenarioSpec {
 
   /// Generated workload (scaling axis): when set, the run uses the
   /// generated topology + flow population instead of the paper's
-  /// Figure-2 network; `weights`/`activity`/`min_rates` above are
-  /// ignored (the population carries its own).  The flow population is
+  /// Figure-2 network; `weights`/`activity` above are ignored (the
+  /// population carries its own), and `topology` only configures the
+  /// queue disciplines.  The flow population is
   /// regenerated at run time from this spec's `seed`, so sweeps stay a
   /// pure function of the descriptor.  num_flows must equal
   /// generated->flows.num_flows.
@@ -124,9 +187,8 @@ struct ScenarioSpec {
   /// are fully wired but before the simulation runs.  The only way to
   /// reach the spec-built network (it lives and dies inside
   /// run_paper_scenario) — telemetry collectors attach link observers
-  /// here.  The second argument is the run's congested/bottleneck links
-  /// (the paper topology's three core links, or the generated
-  /// topology's designated bottlenecks).  Must be passive: attaching
+  /// here.  The second argument is the topology's designated bottleneck
+  /// links (the paper chain's three core links).  Must be passive: attaching
   /// observers never touches the RNG or event order, so results stay
   /// bit-identical with or without it.
   using InstrumentFn = std::function<void(net::Network&, const std::vector<net::Link*>&)>;
@@ -137,7 +199,7 @@ struct ScenarioResult {
   stats::FlowTracker tracker;
   std::uint64_t events_processed = 0;
   std::uint64_t total_data_drops = 0;       ///< across every link
-  std::uint64_t congested_link_drops = 0;   ///< on the three core links only
+  std::uint64_t congested_link_drops = 0;   ///< on the bottleneck links only
   std::uint64_t feedback_messages = 0;      ///< markers echoed / loss notices
   std::uint64_t markers_injected = 0;       ///< Corelite only
   std::uint64_t unrouteable = 0;            ///< should always be 0
@@ -146,13 +208,13 @@ struct ScenarioResult {
   /// their outgoing queues.  0 for core-stateless mechanisms (Corelite,
   /// CSFQ, drop-tail, RED, CHOKe), O(active flows) for WFQ/FRED.
   std::size_t core_flow_state = 0;
-  /// Mean q_avg observed per congested link (Corelite diagnostics).
+  /// Mean q_avg observed per bottleneck link (Corelite cores only).
   std::vector<double> mean_q_avg;
-  /// Timestamps (s) of every data-packet drop on the congested links,
+  /// Timestamps (s) of every data-packet drop on the bottleneck links,
   /// in order — localizes loss to startup transients vs steady state.
   std::vector<double> drop_times;
-  /// Instantaneous data-queue length of each congested link, sampled
-  /// every 100 ms (index matches PaperTopology's congested links).
+  /// Instantaneous data-queue length of each bottleneck link, sampled
+  /// every 100 ms (index matches GeneratedTopology::bottlenecks).
   std::vector<stats::TimeSeries> queue_series;
   /// Fluid fast-forward outcome (all-zero when spec.fluid is off).
   sim::fluid::FluidStats fluid_stats{};
@@ -160,16 +222,12 @@ struct ScenarioResult {
   std::unique_ptr<telemetry::FairnessAuditReport> audit_report;
 };
 
-/// Build, run and measure one scenario.  Dispatches to the generated-
-/// workload runner when spec.generated is set.
+/// Build, run and measure one scenario: the paper chain
+/// (make_paper_chain) for paper specs, the generated topology and a
+/// population generated from spec.seed when spec.generated is set.
+/// Both are built the same way: core machinery on every router, one
+/// edge router per source attach node, one sink per sink attach node.
 [[nodiscard]] ScenarioResult run_paper_scenario(const ScenarioSpec& spec);
-
-/// The generated-workload path of run_paper_scenario: builds the
-/// generated topology (one multi-flow edge router per source router,
-/// one shared sink node per sink router, core machinery on every
-/// router), generates the flow population from spec.seed, and runs the
-/// configured mechanism.  Exposed for tests; prefer run_paper_scenario.
-[[nodiscard]] ScenarioResult run_generated_scenario(const ScenarioSpec& spec);
 
 /// Weighted max-min fair rates (pkt/s) for the flows active at time t,
 /// computed by the water-filling oracle on the three congested links.

@@ -16,7 +16,7 @@
 // size, seed) yields a byte-identical description on every platform,
 // witnessed by digest() (FNV-1a over the full structure) and pinned by
 // golden tests.  The description is turned into a live net::Network by
-// the generated-scenario runner (see scenario.h).
+// the scenario runner (see scenario.h).
 #pragma once
 
 #include <cstddef>
@@ -47,12 +47,16 @@ struct GeneratedTopology {
   std::string name;             ///< e.g. "pl8", "ft4", "isp32"
   std::size_t routers = 0;      ///< router indices are [0, routers)
   std::vector<GenLink> links;   ///< duplex, between routers
-  std::vector<std::uint32_t> sources;  ///< routers where flows may enter
-  std::vector<std::uint32_t> sinks;    ///< routers where flows may exit
+  /// Attach nodes: each entry is one source (sink) access node, hung
+  /// off the router it names.  The generator families list each router
+  /// once, so all flows entering (leaving) there share its node; the
+  /// paper chain lists one entry per flow.
+  std::vector<std::uint32_t> sources;
+  std::vector<std::uint32_t> sinks;
   /// Indices into `links` of the designated bottleneck links — the ones
   /// the runner samples queue lengths on, records drop times for and
-  /// exposes to the telemetry instrument hook (the generated analogue
-  /// of the paper topology's three congested core links).
+  /// exposes to the telemetry instrument hook (the paper chain's three
+  /// congested core links).
   std::vector<std::size_t> bottlenecks;
   TopologyGenConfig cfg;
 

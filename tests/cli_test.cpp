@@ -204,6 +204,44 @@ TEST(ScenarioArgs, RejectsUnknownEnumValues) {
   }
 }
 
+TEST(ScenarioArgs, RejectsNegativeLinkDelay) {
+  for (const char* scen : {"fig5", "gen-pl4-100"}) {
+    ArgParser p{"prog", "test"};
+    register_scenario_options(p);
+    std::ostringstream err;
+    ASSERT_TRUE(parse(p, {"--scenario", scen, "--link-delay-ms", "-5"}, err));
+    EXPECT_FALSE(spec_from_args(p, err).has_value()) << scen;
+    EXPECT_NE(err.str().find("--link-delay-ms must be >= 0"), std::string::npos) << scen;
+  }
+  // Zero delay stays legal: the LP engine falls back to serial on it.
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  ASSERT_TRUE(parse(p, {"--link-delay-ms", "0"}, err));
+  EXPECT_TRUE(spec_from_args(p, err).has_value()) << err.str();
+}
+
+TEST(ScenarioArgs, RejectsNonPositiveEpoch) {
+  for (const char* epoch : {"0", "-1"}) {
+    ArgParser p{"prog", "test"};
+    register_scenario_options(p);
+    std::ostringstream err;
+    ASSERT_TRUE(parse(p, {"--epoch-ms", epoch}, err));
+    EXPECT_FALSE(spec_from_args(p, err).has_value()) << epoch;
+    EXPECT_NE(err.str().find("--epoch-ms must be > 0"), std::string::npos) << epoch;
+  }
+}
+
+TEST(ScenarioArgs, MechanismHelpListsEveryTableRow) {
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  EXPECT_FALSE(parse(p, {"--help"}, err));
+  for (const scenario::MechanismRow& row : scenario::kMechanisms) {
+    EXPECT_NE(err.str().find(row.name), std::string::npos) << row.name;
+  }
+}
+
 TEST(ScenarioArgs, VariantSelectionsApply) {
   ArgParser p{"prog", "test"};
   register_scenario_options(p);

@@ -294,12 +294,11 @@ TEST(SweepRunner, FailedBuildIsReportedNotCrashed) {
 }
 
 TEST(Scenario, MechanismNameRoundTrips) {
-  for (const auto m : {sc::Mechanism::Corelite, sc::Mechanism::Csfq, sc::Mechanism::DropTail,
-                       sc::Mechanism::Red, sc::Mechanism::Fred, sc::Mechanism::Wfq,
-                       sc::Mechanism::EcnBit, sc::Mechanism::Choke, sc::Mechanism::Sfq}) {
-    const auto back = sc::mechanism_from_name(sc::mechanism_name(m));
+  for (const sc::MechanismRow& row : sc::kMechanisms) {
+    EXPECT_EQ(sc::mechanism_name(row.mechanism), row.name);
+    const auto back = sc::mechanism_from_name(row.name);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
+    EXPECT_EQ(*back, row.mechanism);
   }
   EXPECT_FALSE(sc::mechanism_from_name("not-a-mechanism").has_value());
 }

@@ -1,12 +1,14 @@
-// Tests for the paper-topology builder and scenario factories: path
+// Tests for the paper-chain description and scenario factories: path
 // assignment, round-trip times, the ideal-rate oracle reproducing the
 // paper's §4.1 arithmetic, and spec construction.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "net/network.h"
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
-#include "sim/simulator.h"
 
 namespace corelite::scenario {
 namespace {
@@ -35,50 +37,82 @@ TEST(PaperTopology, CongestedLinksPerFlow) {
   EXPECT_EQ(PaperTopology::congested_links(18), (std::vector<std::size_t>{2}));
 }
 
+/// Runs the 20-flow paper chain for an instant and hands its live
+/// network and bottleneck links to `inspect` (via the instrument hook).
+void inspect_paper_network(
+    const std::function<void(net::Network&, const std::vector<net::Link*>&)>& inspect) {
+  auto spec = fig3_network_dynamics(Mechanism::Corelite);
+  spec.duration = sim::SimTime::seconds(0.001);
+  spec.instrument = inspect;
+  (void)run_paper_scenario(spec);
+}
+
+/// The node the runner named `name` ("R<router>", "S<i>"/"D<i>" for
+/// source/sink attach node i).
+net::NodeId node_named(const net::Network& network, const std::string& name) {
+  for (net::NodeId n = 0; n < network.node_count(); ++n) {
+    if (network.node(n).name() == name) return n;
+  }
+  ADD_FAILURE() << "no node " << name;
+  return net::kInvalidNode;
+}
+
 TEST(PaperTopology, RoutesFollowAssignedSpans) {
-  sim::Simulator simulator{1};
-  net::Network network{simulator};
-  PaperTopology topo{network, 20};
-  network.build_routes();
-  // Flow 9 (C1 -> C4): ingress -> C1 -> C2 -> C3 -> C4 -> egress.
-  const auto& ep = topo.endpoints(9);
-  const auto path = network.path(ep.ingress, ep.egress);
-  ASSERT_EQ(path.size(), 6u);
-  EXPECT_EQ(path[1], topo.core(0));
-  EXPECT_EQ(path[2], topo.core(1));
-  EXPECT_EQ(path[3], topo.core(2));
-  EXPECT_EQ(path[4], topo.core(3));
+  // The description: one attach node per flow, at its entry/exit core.
+  const GeneratedTopology chain = make_paper_chain({}, 20);
+  EXPECT_EQ(chain.routers, PaperTopology::kCoreCount);
+  EXPECT_EQ(chain.bottlenecks.size(), PaperTopology::kCongestedLinks);
+  ASSERT_EQ(chain.sources.size(), 20u);
+  ASSERT_EQ(chain.sinks.size(), 20u);
+  for (net::FlowId f = 1; f <= 20; ++f) {
+    const auto [entry, exit] = PaperTopology::core_span(f);
+    EXPECT_EQ(chain.sources[f - 1], entry) << "flow " << f;
+    EXPECT_EQ(chain.sinks[f - 1], exit) << "flow " << f;
+  }
+  // The built network: flow 9 (C1 -> C4) runs ingress -> C1 -> C2 ->
+  // C3 -> C4 -> egress.
+  inspect_paper_network([](net::Network& network, const std::vector<net::Link*>&) {
+    const auto path = network.path(node_named(network, "S8"), node_named(network, "D8"));
+    ASSERT_EQ(path.size(), 6u);
+    for (std::size_t i = 0; i < PaperTopology::kCoreCount; ++i) {
+      EXPECT_EQ(path[i + 1], node_named(network, "R" + std::to_string(i)));
+    }
+  });
 }
 
 TEST(PaperTopology, RoundTripTimesMatchPaper) {
   // One-way: access 40 + n x 40 core + access 40; RTT doubles it.
   // 1 congested link -> 240 ms, 2 -> 320 ms, 3 -> 400 ms (paper §4.1).
-  sim::Simulator simulator{1};
-  net::Network network{simulator};
-  PaperTopology topo{network, 20};
-  network.build_routes();
-  auto rtt_ms = [&](net::FlowId f) {
-    const auto& ep = topo.endpoints(f);
-    const auto path = network.path(ep.ingress, ep.egress);
-    double one_way = 0.0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      one_way += network.find_link(path[i], path[i + 1])->propagation_delay().sec();
-    }
-    return 2.0 * one_way * 1000.0;
-  };
-  EXPECT_NEAR(rtt_ms(1), 240.0, 1e-9);
-  EXPECT_NEAR(rtt_ms(7), 320.0, 1e-9);
-  EXPECT_NEAR(rtt_ms(9), 400.0, 1e-9);
-  EXPECT_NEAR(rtt_ms(11), 240.0, 1e-9);
-  EXPECT_NEAR(rtt_ms(14), 320.0, 1e-9);
-  EXPECT_NEAR(rtt_ms(17), 240.0, 1e-9);
+  inspect_paper_network([](net::Network& network, const std::vector<net::Link*>&) {
+    auto rtt_ms = [&](net::FlowId f) {
+      const auto path = network.path(node_named(network, "S" + std::to_string(f - 1)),
+                                     node_named(network, "D" + std::to_string(f - 1)));
+      double one_way = 0.0;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        one_way += network.find_link(path[i], path[i + 1])->propagation_delay().sec();
+      }
+      return 2.0 * one_way * 1000.0;
+    };
+    EXPECT_NEAR(rtt_ms(1), 240.0, 1e-9);
+    EXPECT_NEAR(rtt_ms(7), 320.0, 1e-9);
+    EXPECT_NEAR(rtt_ms(9), 400.0, 1e-9);
+    EXPECT_NEAR(rtt_ms(11), 240.0, 1e-9);
+    EXPECT_NEAR(rtt_ms(14), 320.0, 1e-9);
+    EXPECT_NEAR(rtt_ms(17), 240.0, 1e-9);
+  });
 }
 
 TEST(PaperTopology, CapacityIs500PacketsPerSecond) {
-  sim::Simulator simulator{1};
-  net::Network network{simulator};
-  PaperTopology topo{network, 4};
-  EXPECT_DOUBLE_EQ(topo.capacity_pps(), 500.0);
+  const GeneratedTopology chain = make_paper_chain({}, 4);
+  EXPECT_DOUBLE_EQ(chain.capacity_pps(), 500.0);
+  // Every link of the built chain, access links included, runs 4 Mbps.
+  const PaperTopologyConfig cfg;
+  inspect_paper_network([&cfg](net::Network& network, const std::vector<net::Link*>& congested) {
+    EXPECT_EQ(congested.size(), PaperTopology::kCongestedLinks);
+    for (const auto& l : network.links()) {
+      EXPECT_DOUBLE_EQ(l->rate().pps(cfg.packet_size), 500.0);
+    }
+  });
 }
 
 TEST(ScenarioSpec, Fig3WeightsAndActivity) {
