@@ -4,6 +4,7 @@
 // ill-behaved-flow protection the paper's §6 promises.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "net/network.h"
@@ -138,68 +139,92 @@ TEST(Transit, MarkersInjectedForForwardedTraffic) {
 }
 
 // Ill-behaved flow protection (paper §6: "drop packets from ill behaved
-// flows at the edges of the network"): a blaster ignoring all feedback
-// must not degrade a conforming flow sharing the same bottleneck.
-TEST(Transit, IllBehavedFlowCannotHurtConformingFlow) {
+// flows at the edges of the network"): flow 1 is a 2000 pkt/s blaster
+// behind edgeBad (transit) that ignores all feedback; flow 2 is a
+// conforming sourced flow of equal weight behind edgeGood.  Both cross
+// the same 500 pkt/s core -> sink bottleneck.
+struct IllBehavedFixture {
   sim::Simulator simulator{43};
   net::Network network{simulator};
-  const auto host_bad = network.add_node("hostBad");
-  const auto edge_bad = network.add_node("edgeBad");
-  const auto edge_good = network.add_node("edgeGood");
-  const auto core = network.add_node("core");
-  const auto sink = network.add_node("sink");
-  const auto d = sim::TimeDelta::millis(2);
-  network.connect_duplex(host_bad, edge_bad, sim::Rate::mbps(100), d, 500);
-  network.connect_duplex(edge_bad, core, sim::Rate::mbps(20), d, 100);
-  network.connect_duplex(edge_good, core, sim::Rate::mbps(20), d, 100);
-  network.connect_duplex(core, sink, sim::Rate::mbps(4), d, 40);  // 500 pkt/s
-  network.build_routes();
-
+  net::NodeId host_bad = network.add_node("hostBad");
+  net::NodeId edge_bad = network.add_node("edgeBad");
+  net::NodeId edge_good = network.add_node("edgeGood");
+  net::NodeId core = network.add_node("core");
+  net::NodeId sink = network.add_node("sink");
   CoreliteConfig cfg;
   stats::FlowTracker tracker;
-  CoreliteCoreRouter core_router{network, core, cfg};
-  CoreliteEdgeRouter er_bad{network, edge_bad, cfg, &tracker};
-  CoreliteEdgeRouter er_good{network, edge_good, cfg, &tracker};
+  std::optional<CoreliteCoreRouter> core_router;
+  std::optional<CoreliteEdgeRouter> er_bad;
+  std::optional<CoreliteEdgeRouter> er_good;
 
-  // Flow 1: hostile 2000 pkt/s blaster behind edge_bad (transit).
-  net::FlowSpec f1;
-  f1.id = 1;
-  f1.ingress = edge_bad;
-  f1.egress = sink;
-  f1.weight = 1.0;
-  er_bad.add_transit_flow(f1);
-  simulator.every(sim::TimeDelta::millis(0.5), [&network, host_bad, sink] {
-    net::Packet p;
-    p.uid = network.next_packet_uid();
-    p.kind = net::PacketKind::Data;
-    p.flow = 1;
-    p.src = host_bad;
-    p.dst = sink;
-    p.size = sim::DataSize::kilobytes(1);
-    network.inject(host_bad, std::move(p));
-  });
+  IllBehavedFixture() {
+    const auto d = sim::TimeDelta::millis(2);
+    network.connect_duplex(host_bad, edge_bad, sim::Rate::mbps(100), d, 500);
+    network.connect_duplex(edge_bad, core, sim::Rate::mbps(20), d, 100);
+    network.connect_duplex(edge_good, core, sim::Rate::mbps(20), d, 100);
+    network.connect_duplex(core, sink, sim::Rate::mbps(4), d, 40);  // 500 pkt/s
+    network.build_routes();
+    core_router.emplace(network, core, cfg);
+    er_bad.emplace(network, edge_bad, cfg, &tracker);
+    er_good.emplace(network, edge_good, cfg, &tracker);
 
-  // Flow 2: conforming sourced flow with equal weight.
-  net::FlowSpec f2;
-  f2.id = 2;
-  f2.ingress = edge_good;
-  f2.egress = sink;
-  f2.weight = 1.0;
-  er_good.add_flow(f2);
+    net::FlowSpec f1;
+    f1.id = 1;
+    f1.ingress = edge_bad;
+    f1.egress = sink;
+    f1.weight = 1.0;
+    er_bad->add_transit_flow(f1);
+    simulator.every(sim::TimeDelta::millis(0.5), [this] {
+      net::Packet p;
+      p.uid = network.next_packet_uid();
+      p.kind = net::PacketKind::Data;
+      p.flow = 1;
+      p.src = host_bad;
+      p.dst = sink;
+      p.size = sim::DataSize::kilobytes(1);
+      network.inject(host_bad, std::move(p));
+    });
 
-  network.node(sink).set_local_sink([&tracker](net::Packet&& p) {
-    if (p.is_data()) tracker.on_delivered(p.flow);
-  });
+    net::FlowSpec f2;
+    f2.id = 2;
+    f2.ingress = edge_good;
+    f2.egress = sink;
+    f2.weight = 1.0;
+    er_good->add_flow(f2);
 
-  simulator.run_until(sim::SimTime::seconds(120));
+    network.node(sink).set_local_sink([this](net::Packet&& p) {
+      if (p.is_data()) tracker.on_delivered(p.flow);
+    });
+  }
+};
+
+TEST(Transit, IllBehavedFlowCannotHurtConformingFlow) {
+  IllBehavedFixture f;
+  f.simulator.run_until(sim::SimTime::seconds(120));
 
   // Equal weights: the conforming flow still receives its ~250 pkt/s.
-  const double good_rate = tracker.series(2).allotted_rate.average_over(60, 120);
+  const double good_rate = f.tracker.series(2).allotted_rate.average_over(60, 120);
   EXPECT_NEAR(good_rate, 250.0, 50.0);
   // The blaster's excess (2000 - ~250) dies at ITS edge, not in the core.
-  EXPECT_GT(er_bad.transit_drops(), 50000u);
-  const auto* bottleneck = network.find_link(core, sink);
+  EXPECT_GT(f.er_bad->transit_drops(), 50000u);
+  const auto* bottleneck = f.network.find_link(f.core, f.sink);
   EXPECT_EQ(bottleneck->stats().dropped, 0u);
+}
+
+// Exact-count witness for the transit path: the shaping queue, token
+// bucket and drain loop must reproduce these counts to the packet.
+TEST(Transit, IllBehavedFlowExactCounts) {
+  IllBehavedFixture f;
+  f.simulator.run_until(sim::SimTime::seconds(120));
+  EXPECT_EQ(f.tracker.series(1).sent, 25263u);
+  EXPECT_EQ(f.tracker.series(1).delivered, 25261u);
+  EXPECT_EQ(f.tracker.series(1).dropped, 214700u);
+  EXPECT_EQ(f.tracker.series(2).sent, 25086u);
+  EXPECT_EQ(f.tracker.series(2).delivered, 25085u);
+  EXPECT_EQ(f.tracker.series(2).dropped, 0u);
+  EXPECT_EQ(f.er_bad->transit_drops(), 214700u);
+  EXPECT_EQ(f.er_bad->markers_injected(), 25263u);
+  EXPECT_EQ(f.er_good->markers_injected(), 25086u);
 }
 
 }  // namespace

@@ -10,9 +10,12 @@ compares the result digest against the committed manifest
     graph (gen-pl4/gen-ft4/gen-isp16);
 
 each under all nine mechanisms, once on the serial engine and once with
---lp 2.  Every cell gets its own per-run digest, so a change that moves
-one wiring path (one queue discipline, one topology family, the LP
-partition) names the cell it moved.
+--lp 2; plus serial variant cells for the non-default edge adaptation
+policies (--adaptation aimd/mimd on fig5/fig9 x corelite/csfq) and
+pacing modes (--pacing poisson/onoff on fig5 x corelite).  Every cell
+gets its own per-run digest, so a change that moves one wiring path
+(one queue discipline, one topology family, the LP partition, one
+adaptation policy) names the cell it moved.
 
 The fluid machinery is compiled into the binary but disabled by default;
 any digest drift here means fluid-off is no longer bit-identical to the
@@ -50,13 +53,34 @@ SCENARIOS = [
 MECHANISMS = ["corelite", "csfq", "droptail", "red", "fred", "wfq", "ecnbit", "choke", "sfq"]
 LPS = [1, 2]
 
+# Serial cells for the edge variants the matrix above never selects: the
+# AIMD/MIMD adaptation policies, and the Poisson/on-off pacing gaps (only
+# the Corelite edge paces through them).
+VARIANTS = [
+    *((s, m, "adaptation", a) for a in ("aimd", "mimd") for s in ("fig5", "fig9")
+      for m in ("corelite", "csfq")),
+    ("fig5", "corelite", "pacing", "poisson"),
+    ("fig5", "corelite", "pacing", "onoff"),
+]
+
 
 def cell_key(scenario, mechanism, lp):
     key = f"{scenario}/{mechanism}"
     return key if lp == 1 else f"{key}/lp{lp}"
 
 
-def run_digest(binary, scenario, extra, mechanism, lp, workdir):
+def cells():
+    """(key, scenario, extra CLI args, mechanism, lp) for every pinned cell."""
+    for scenario, extra in SCENARIOS:
+        for mechanism in MECHANISMS:
+            for lp in LPS:
+                yield cell_key(scenario, mechanism, lp), scenario, extra, mechanism, lp
+    for scenario, mechanism, option, value in VARIANTS:
+        yield (f"{scenario}/{mechanism}/{option}-{value}", scenario, [f"--{option}", value],
+               mechanism, 1)
+
+
+def run_digest(binary, key, scenario, extra, mechanism, lp, workdir):
     # The digest line only prints under --telemetry; the run manifest it
     # also writes lands in the scratch working directory.
     out = subprocess.run(
@@ -65,7 +89,7 @@ def run_digest(binary, scenario, extra, mechanism, lp, workdir):
         check=True, capture_output=True, text=True, cwd=workdir).stdout
     m = re.search(r"result digest: ([0-9a-f]+)", out)
     if not m:
-        raise SystemExit(f"{cell_key(scenario, mechanism, lp)}: no 'result digest:' line")
+        raise SystemExit(f"{key}: no 'result digest:' line")
     return m.group(1)
 
 
@@ -80,19 +104,16 @@ def main():
     manifest = json.loads(MANIFEST.read_text())
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
-        for scenario, extra in SCENARIOS:
-            for mechanism in MECHANISMS:
-                for lp in LPS:
-                    key = cell_key(scenario, mechanism, lp)
-                    got = run_digest(binary, scenario, extra, mechanism, lp, workdir)
-                    if args.update:
-                        manifest[key] = got
-                        print(f"{key:28s} {got}")
-                        continue
-                    want = manifest.get(key)
-                    ok = got == want
-                    print(f"{key:28s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
-                    failed = failed or not ok
+        for key, scenario, extra, mechanism, lp in cells():
+            got = run_digest(binary, key, scenario, extra, mechanism, lp, workdir)
+            if args.update:
+                manifest[key] = got
+                print(f"{key:34s} {got}")
+                continue
+            want = manifest.get(key)
+            ok = got == want
+            print(f"{key:34s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
+            failed = failed or not ok
 
     if args.update:
         MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
