@@ -20,91 +20,31 @@ CsfqEdgeRouter::~CsfqEdgeRouter() { epoch_timer_.cancel(); }
 void CsfqEdgeRouter::add_flow(const net::FlowSpec& spec) {
   assert(spec.ingress == node_);
   assert(spec.valid());
-  auto fs = std::make_unique<FlowState>(spec, cfg_);
   if (tracker_ != nullptr) tracker_->declare_flow(spec.id, spec.weight);
-  FlowState& ref = *fs;
-  if (spec.id >= by_id_.size()) by_id_.resize(spec.id + 1, nullptr);
-  assert(by_id_[spec.id] == nullptr && "duplicate flow id");
-  by_id_[spec.id] = &ref;
-  flows_.push_back(std::move(fs));
-  schedule_window(ref, 0);
-}
-
-// Lazy lifecycle cursor: only the next transition of each flow sits in
-// the event queue (a 100k-flow churn population would otherwise park
-// two events per window up front).  Each window still costs exactly one
-// start and one finite-stop event, matching the eager schedule.
-void CsfqEdgeRouter::schedule_window(FlowState& fs, std::size_t window) {
-  auto& sim = net_.local_sim(node_);
-  if (warp_ != nullptr) {
-    // Fluid fast-forward: transitions are pinned to absolute
-    // *experiment* time in the warp registry, whose heap top also caps
-    // how far a fast-forward jump may reach.
-    while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.exp_now()) {
-      ++window;
-    }
-    if (window >= fs.spec.active.size()) return;
-    const sim::SimTime start = std::max(fs.spec.active[window].start, sim.exp_now());
-    warp_->at_exp(start, [this, &fs, window] {
-      start_flow(fs);
-      const sim::SimTime stop = fs.spec.active[window].stop;
-      if (stop < sim::SimTime::infinite()) {
-        warp_->at_exp(stop, [this, &fs, window] {
-          stop_flow(fs);
-          schedule_window(fs, window + 1);
-        });
-      }
-    });
-    return;
-  }
-  while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.now()) {
-    ++window;  // window already wholly in the past
-  }
-  if (window >= fs.spec.active.size()) return;
-  const sim::SimTime start = std::max(fs.spec.active[window].start, sim.now());
-  sim.at_detached(start, [this, &fs, window] {
-    start_flow(fs);
-    const sim::SimTime stop = fs.spec.active[window].stop;
-    if (stop < sim::SimTime::infinite()) {
-      net_.local_sim(node_).at_detached(stop, [this, &fs, window] {
-        stop_flow(fs);
-        schedule_window(fs, window + 1);
-      });
-    }
-  });
+  flows_.add(spec, cfg_);
 }
 
 void CsfqEdgeRouter::start_flow(FlowState& fs) {
-  if (fs.active) return;
-  fs.active = true;
-  fs.active_slot = active_.size();
-  active_.push_back(&fs);
+  if (!flows_.activate(fs)) return;
   fs.losses_this_epoch = 0;
   fs.estimator.reset();
-  fs.ctrl->reset(net_.local_sim(node_).now());
+  fs.ctrl.reset(cfg_.adapt, net_.local_sim(node_).now());
   if (tracker_ != nullptr) {
     // Rate samples live on the experiment-time axis (identical to the
     // engine clock whenever fluid fast-forward is off).
-    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl->rate_pps());
+    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
   }
   emit_packet(fs);
 }
 
 void CsfqEdgeRouter::stop_flow(FlowState& fs) {
-  if (!fs.active) return;
-  fs.active = false;
-  FlowState* last = active_.back();
-  active_[fs.active_slot] = last;
-  last->active_slot = fs.active_slot;
-  active_.pop_back();
-  fs.active_slot = kNoSlot;
-  ++fs.emit_gen;  // orphan any in-flight emission event
+  if (!flows_.deactivate(fs)) return;  // also orphans the in-flight emission event
   fs.losses_this_epoch = 0;
   if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), 0.0);
 }
 
 void CsfqEdgeRouter::emit_packet(FlowState& fs) {
-  if (!fs.active) return;
+  if (!fs.active()) return;
 
   const sim::SimTime now = net_.local_sim(node_).now();
   const double estimate = fs.estimator.on_arrival(1.0, now);
@@ -125,7 +65,7 @@ void CsfqEdgeRouter::emit_packet(FlowState& fs) {
   // controller; the label above still carries its true estimated rate,
   // so CSFQ cores see exactly what the protocol promises them.
   const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
-                                              : std::max(fs.ctrl->rate_pps(), 1e-3);
+                                              : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(sim::TimeDelta::seconds(1.0 / rate),
                                   [this, &fs, gen = fs.emit_gen] {
                                     if (gen == fs.emit_gen) emit_packet(fs);
@@ -135,7 +75,7 @@ void CsfqEdgeRouter::emit_packet(FlowState& fs) {
 void CsfqEdgeRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   const sim::SimTime exp_now = net_.local_sim(node_).exp_now();
-  for (FlowState* fsp : active_) {
+  for (FlowState* fsp : flows_.active()) {
     FlowState& fs = *fsp;
     const int losses = fs.losses_this_epoch;
     fs.losses_this_epoch = 0;
@@ -145,8 +85,8 @@ void CsfqEdgeRouter::on_epoch() {
       if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
       continue;
     }
-    fs.ctrl->on_epoch(losses, now);
-    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl->rate_pps());
+    fs.ctrl.on_epoch(cfg_.adapt, losses, now);
+    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
   }
 }
 
@@ -154,8 +94,8 @@ void CsfqEdgeRouter::handle_local(net::Packet&& p) {
   switch (p.kind) {
     case net::PacketKind::LossNotice: {
       ++losses_received_;
-      FlowState* fs = lookup(p.flow);
-      if (fs != nullptr && fs->active) ++fs->losses_this_epoch;
+      FlowState* fs = flows_.lookup(p.flow);
+      if (fs != nullptr && fs->active()) ++fs->losses_this_epoch;
       if (tracker_ != nullptr) {
         tracker_->on_feedback(p.flow);
         tracker_->on_dropped(p.flow);
@@ -171,9 +111,9 @@ void CsfqEdgeRouter::handle_local(net::Packet&& p) {
 }
 
 double CsfqEdgeRouter::current_rate_pps(net::FlowId flow) const {
-  const FlowState* fs = lookup(flow);
-  if (fs == nullptr || !fs->active) return 0.0;
-  return fs->ctrl->rate_pps();
+  const FlowState* fs = flows_.lookup(flow);
+  if (fs == nullptr || !fs->active()) return 0.0;
+  return fs->ctrl.rate_pps();
 }
 
 }  // namespace corelite::csfq

@@ -14,17 +14,14 @@
 // over core routers.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "csfq/config.h"
 #include "csfq/rate_estimator.h"
 #include "net/flow.h"
 #include "net/network.h"
 #include "net/packet.h"
-#include "qos/rate_controller.h"
+#include "qos/flow_table.h"
 #include "sim/fluid/warp.h"
 #include "stats/flow_tracker.h"
 
@@ -49,36 +46,18 @@ class CsfqEdgeRouter {
   /// experiment-time warp registry (see CoreliteEdgeRouter::
   /// set_fluid_warp).  Must be set before any add_flow; nullptr keeps
   /// the legacy engine-time scheduling bit for bit.
-  void set_fluid_warp(sim::fluid::TimeWarp* warp) { warp_ = warp; }
+  void set_fluid_warp(sim::fluid::TimeWarp* warp) { flows_.set_fluid_warp(warp); }
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  struct FlowState {
-    net::FlowSpec spec;
-    std::unique_ptr<qos::RateController> ctrl;
-    ExponentialRateEstimator estimator;
-    bool active = false;
-    int losses_this_epoch = 0;
-    /// Emission events are fire-and-forget; stopping the flow bumps the
-    /// generation so the old chain's in-flight event becomes a no-op.
-    std::uint32_t emit_gen = 0;
-    /// Position in active_ while active (kNoSlot otherwise) — O(1)
-    /// swap-removal when the flow stops.
-    std::size_t active_slot = kNoSlot;
-
+  struct FlowState : qos::EdgeFlow {
     FlowState(const net::FlowSpec& s, const CsfqConfig& cfg)
-        : spec{s},
-          ctrl{qos::make_rate_controller(cfg.adapt, s.min_rate_pps)},
-          estimator{cfg.k_flow} {}
+        : EdgeFlow{s, cfg.adapt}, estimator{cfg.k_flow} {}
+
+    ExponentialRateEstimator estimator;
+    int losses_this_epoch = 0;
   };
+  friend class qos::FlowTable<FlowState, CsfqEdgeRouter>;
 
-  /// Dense id-indexed lookup; nullptr for unknown flows.
-  [[nodiscard]] FlowState* lookup(net::FlowId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
-  }
-
-  void schedule_window(FlowState& fs, std::size_t window);
   void start_flow(FlowState& fs);
   void stop_flow(FlowState& fs);
   void emit_packet(FlowState& fs);
@@ -89,14 +68,7 @@ class CsfqEdgeRouter {
   net::NodeId node_;
   CsfqConfig cfg_;
   stats::FlowTracker* tracker_;
-  sim::fluid::TimeWarp* warp_ = nullptr;
-  /// Owner (insertion order, address-stable via unique_ptr: emission
-  /// events capture FlowState&), dense id index, and the set of
-  /// currently active flows — per-epoch bookkeeping is O(active), and
-  /// per-packet lookups are an array index instead of a hash probe.
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  std::vector<FlowState*> by_id_;
-  std::vector<FlowState*> active_;
+  qos::FlowTable<FlowState, CsfqEdgeRouter> flows_{*this, net_, node_};
   sim::PeriodicHandle epoch_timer_;
   std::uint64_t losses_received_ = 0;
 };

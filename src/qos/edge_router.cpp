@@ -20,46 +20,29 @@ CoreliteEdgeRouter::CoreliteEdgeRouter(net::Network& network, net::NodeId node,
 
 CoreliteEdgeRouter::~CoreliteEdgeRouter() { epoch_timer_.cancel(); }
 
-void CoreliteEdgeRouter::register_flow(std::unique_ptr<FlowState> fs) {
-  const net::FlowId id = fs->spec.id;
-  if (tracker_ != nullptr) tracker_->declare_flow(id, fs->spec.weight);
-  FlowState& ref = *fs;
-  if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
-  assert(by_id_[id] == nullptr && "duplicate flow id");
-  by_id_[id] = &ref;
-  flows_.push_back(std::move(fs));
-  schedule_window(ref, 0);
-}
-
-void CoreliteEdgeRouter::add_flow(const net::FlowSpec& spec) {
+void CoreliteEdgeRouter::admit(const net::FlowSpec& spec, std::unique_ptr<Transit> transit) {
   assert(spec.ingress == node_ && "flow must enter the network at this edge router");
   assert(spec.valid());
-  auto fs = std::make_unique<FlowState>(spec, cfg_.adapt);
-  fs->marker_spacing =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::lround(cfg_.k1 * spec.weight)));
-  register_flow(std::move(fs));
+  if (tracker_ != nullptr) tracker_->declare_flow(spec.id, spec.weight);
+  flows_.add(spec, cfg_, std::move(transit));
 }
+
+void CoreliteEdgeRouter::add_flow(const net::FlowSpec& spec) { admit(spec, nullptr); }
 
 void CoreliteEdgeRouter::add_transit_flow(const net::FlowSpec& spec) {
-  assert(spec.ingress == node_ && "flow must enter the network at this edge router");
-  assert(spec.valid());
-  auto fs = std::make_unique<FlowState>(spec, cfg_.adapt);
-  fs->transit = true;
-  fs->bucket = TokenBucket{std::max(cfg_.adapt.initial_rate_pps, 1.0),
-                           std::max(1.0, cfg_.edge_burst_tokens), net_.local_sim(node_).now()};
-  fs->marker_spacing =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::lround(cfg_.k1 * spec.weight)));
   if (!transit_hook_installed_) {
     transit_hook_installed_ = true;
     net_.node(node_).set_transit_hook(
         [this](net::Packet& p) { return intercept_transit(p); });
   }
-  register_flow(std::move(fs));
+  admit(spec, std::make_unique<Transit>(TokenBucket{std::max(cfg_.adapt.initial_rate_pps, 1.0),
+                                                    std::max(1.0, cfg_.edge_burst_tokens),
+                                                    net_.local_sim(node_).now()}));
 }
 
 bool CoreliteEdgeRouter::intercept_transit(net::Packet& p) {
-  FlowState* fsp = lookup(p.flow);
-  if (fsp == nullptr || !fsp->transit) return false;
+  FlowState* fsp = flows_.lookup(p.flow);
+  if (fsp == nullptr || fsp->transit == nullptr) return false;
   if (p.kind == net::PacketKind::Marker) {
     // Cloud boundary: markers are edge-to-edge signals of the UPSTREAM
     // cloud; absorb them here.  This edge injects its own markers for
@@ -68,34 +51,36 @@ bool CoreliteEdgeRouter::intercept_transit(net::Packet& p) {
   }
   if (p.kind != net::PacketKind::Data) return false;
   FlowState& fs = *fsp;
-  if (!fs.active || fs.shaping_queue.size() >= cfg_.edge_queue_capacity) {
+  Transit& tr = *fs.transit;
+  if (!fs.active() || tr.queue.size() >= cfg_.edge_queue_capacity) {
     // Edge policing drop: the ONLY place Corelite loses packets.
     ++transit_drops_;
     if (tracker_ != nullptr) tracker_->on_dropped(p.flow);
     return true;  // consumed (dropped)
   }
-  fs.shaping_queue.push_back(std::move(p));
-  if (!fs.draining) {
-    fs.draining = true;
+  tr.queue.push_back(std::move(p));
+  if (!tr.draining) {
+    tr.draining = true;
     drain_transit(fs);
   }
   return true;
 }
 
 void CoreliteEdgeRouter::drain_transit(FlowState& fs) {
-  if (!fs.active || fs.shaping_queue.empty()) {
-    fs.draining = false;
+  Transit& tr = *fs.transit;
+  if (!fs.active() || tr.queue.empty()) {
+    tr.draining = false;
     return;
   }
   const sim::SimTime now = net_.local_sim(node_).now();
-  const double rate = std::max(fs.ctrl->rate_pps(), 1e-3);
-  fs.bucket.set_rate(rate, now);
+  const double rate = std::max(fs.ctrl.rate_pps(), 1e-3);
+  tr.bucket.set_rate(rate, now);
 
   // Drain back-to-back while the bucket holds tokens (burst tolerance);
   // the long-run rate stays b_g.
-  while (!fs.shaping_queue.empty() && fs.bucket.try_consume(1.0, now)) {
-    net::Packet p = std::move(fs.shaping_queue.front());
-    fs.shaping_queue.pop_front();
+  while (!tr.queue.empty() && tr.bucket.try_consume(1.0, now)) {
+    net::Packet p = std::move(tr.queue.front());
+    tr.queue.pop_front();
     if (tracker_ != nullptr) tracker_->on_sent(fs.spec.id);
     // Forward directly via the FIB: re-injecting at the node would loop
     // straight back into the transit hook.
@@ -104,80 +89,34 @@ void CoreliteEdgeRouter::drain_transit(FlowState& fs) {
     count_marker_credit_and_maybe_mark(fs);
   }
 
-  if (fs.shaping_queue.empty()) {
-    fs.draining = false;
+  if (tr.queue.empty()) {
+    tr.draining = false;
     return;
   }
   net_.local_sim(node_).after_detached(
-      fs.bucket.time_until(1.0, now),
+      tr.bucket.time_until(1.0, now),
       [this, &fs, gen = fs.emit_gen] {
         if (gen == fs.emit_gen) drain_transit(fs);
       });
 }
 
-// Lazy lifecycle cursor: only the next transition of each flow sits in
-// the event queue (a 100k-flow churn population would otherwise park
-// two events per window up front).  Each window still costs exactly one
-// start and one finite-stop event, matching the eager schedule.
-void CoreliteEdgeRouter::schedule_window(FlowState& fs, std::size_t window) {
-  auto& sim = net_.local_sim(node_);
-  if (warp_ != nullptr) {
-    // Fluid fast-forward: transitions are pinned to absolute
-    // *experiment* time in the warp registry, whose heap top also caps
-    // how far a fast-forward jump may reach.
-    while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.exp_now()) {
-      ++window;
-    }
-    if (window >= fs.spec.active.size()) return;
-    const sim::SimTime start = std::max(fs.spec.active[window].start, sim.exp_now());
-    warp_->at_exp(start, [this, &fs, window] {
-      start_flow(fs);
-      const sim::SimTime stop = fs.spec.active[window].stop;
-      if (stop < sim::SimTime::infinite()) {
-        warp_->at_exp(stop, [this, &fs, window] {
-          stop_flow(fs);
-          schedule_window(fs, window + 1);
-        });
-      }
-    });
-    return;
-  }
-  while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.now()) {
-    ++window;  // window already wholly in the past
-  }
-  if (window >= fs.spec.active.size()) return;
-  const sim::SimTime start = std::max(fs.spec.active[window].start, sim.now());
-  sim.at_detached(start, [this, &fs, window] {
-    start_flow(fs);
-    const sim::SimTime stop = fs.spec.active[window].stop;
-    if (stop < sim::SimTime::infinite()) {
-      net_.local_sim(node_).at_detached(stop, [this, &fs, window] {
-        stop_flow(fs);
-        schedule_window(fs, window + 1);
-      });
-    }
-  });
-}
-
 void CoreliteEdgeRouter::start_flow(FlowState& fs) {
-  if (fs.active) return;
-  fs.active = true;
-  fs.active_slot = active_.size();
-  active_.push_back(&fs);
+  if (!flows_.activate(fs)) return;
   fs.marker_credit = 0.0;
   fs.feedback_per_core.clear();
-  fs.ctrl->reset(net_.local_sim(node_).now());
+  fs.ctrl.reset(cfg_.adapt, net_.local_sim(node_).now());
   fs.pacing_anchor = net_.local_sim(node_).now();
   if (tracker_ != nullptr) {
     // Rate samples live on the experiment-time axis (identical to the
     // engine clock whenever fluid fast-forward is off).
-    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl->rate_pps());
+    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
   }
-  if (fs.transit) {
+  if (fs.transit != nullptr) {
+    Transit& tr = *fs.transit;
     // Fresh admission: no banked burst credit from the idle period.
-    fs.bucket.clear(net_.local_sim(node_).now());
-    if (!fs.shaping_queue.empty() && !fs.draining) {
-      fs.draining = true;
+    tr.bucket.clear(net_.local_sim(node_).now());
+    if (!tr.queue.empty() && !tr.draining) {
+      tr.draining = true;
       drain_transit(fs);
     }
   } else {
@@ -186,22 +125,17 @@ void CoreliteEdgeRouter::start_flow(FlowState& fs) {
 }
 
 void CoreliteEdgeRouter::stop_flow(FlowState& fs) {
-  if (!fs.active) return;
-  fs.active = false;
-  FlowState* last = active_.back();
-  active_[fs.active_slot] = last;
-  last->active_slot = fs.active_slot;
-  active_.pop_back();
-  fs.active_slot = kNoSlot;
-  ++fs.emit_gen;  // orphan any in-flight emission/drain event
-  fs.draining = false;
-  fs.shaping_queue.clear();
+  if (!flows_.deactivate(fs)) return;  // also orphans in-flight emission/drain events
+  if (fs.transit != nullptr) {
+    fs.transit->draining = false;
+    fs.transit->queue.clear();
+  }
   fs.feedback_per_core.clear();
   if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), 0.0);
 }
 
 void CoreliteEdgeRouter::emit_packet(FlowState& fs) {
-  if (!fs.active) return;
+  if (!fs.active()) return;
 
   net::Packet p;
   p.uid = net_.next_packet_uid(node_);
@@ -220,7 +154,7 @@ void CoreliteEdgeRouter::emit_packet(FlowState& fs) {
   if (fs.spec.flood_pps <= 0.0) count_marker_credit_and_maybe_mark(fs);
 
   const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
-                                              : std::max(fs.ctrl->rate_pps(), 1e-3);
+                                              : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(next_emission_gap(fs, rate),
                                   [this, &fs, gen = fs.emit_gen] {
                                     if (gen == fs.emit_gen) emit_packet(fs);
@@ -232,7 +166,7 @@ void CoreliteEdgeRouter::count_marker_credit_and_maybe_mark(FlowState& fs) {
   // minimum-rate contract injects none (pure in-profile traffic is
   // never throttled, so advertising it to the cores would only skew
   // their running average and shield genuinely over-share flows).
-  const double rate_now = fs.ctrl->rate_pps();
+  const double rate_now = fs.ctrl.rate_pps();
   if (rate_now <= 0.0) return;
   fs.marker_credit += fs.out_of_profile_pps() / rate_now;
   if (fs.marker_credit >= static_cast<double>(fs.marker_spacing)) {
@@ -294,7 +228,7 @@ void CoreliteEdgeRouter::inject_marker(FlowState& fs) {
 void CoreliteEdgeRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   const sim::SimTime exp_now = net_.local_sim(node_).exp_now();
-  for (FlowState* fsp : active_) {
+  for (FlowState* fsp : flows_.active()) {
     FlowState& fs = *fsp;
     if (fs.spec.flood_pps > 0.0) {
       // Unresponsive source: feedback is discarded, the rate series
@@ -308,8 +242,8 @@ void CoreliteEdgeRouter::on_epoch() {
     int m = 0;
     for (const auto& [core, count] : fs.feedback_per_core) m = std::max(m, count);
     fs.feedback_per_core.clear();
-    fs.ctrl->on_epoch(m, now);
-    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl->rate_pps());
+    fs.ctrl.on_epoch(cfg_.adapt, m, now);
+    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
   }
 }
 
@@ -317,8 +251,8 @@ void CoreliteEdgeRouter::handle_local(net::Packet&& p) {
   switch (p.kind) {
     case net::PacketKind::Feedback: {
       ++feedback_received_;
-      FlowState* fs = lookup(p.marker.flow);
-      if (fs != nullptr && fs->active) {
+      FlowState* fs = flows_.lookup(p.marker.flow);
+      if (fs != nullptr && fs->active()) {
         auto it = std::find_if(fs->feedback_per_core.begin(), fs->feedback_per_core.end(),
                                [&](const auto& e) { return e.first == p.feedback_origin; });
         if (it == fs->feedback_per_core.end()) {
@@ -345,9 +279,9 @@ void CoreliteEdgeRouter::handle_local(net::Packet&& p) {
 }
 
 double CoreliteEdgeRouter::current_rate_pps(net::FlowId flow) const {
-  const FlowState* fs = lookup(flow);
-  if (fs == nullptr || !fs->active) return 0.0;
-  return fs->ctrl->rate_pps();
+  const FlowState* fs = flows_.lookup(flow);
+  if (fs == nullptr || !fs->active()) return 0.0;
+  return fs->ctrl.rate_pps();
 }
 
 }  // namespace corelite::qos

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -27,7 +27,7 @@
 #include "net/network.h"
 #include "net/packet.h"
 #include "qos/config.h"
-#include "qos/rate_controller.h"
+#include "qos/flow_table.h"
 #include "qos/token_bucket.h"
 #include "sim/fluid/warp.h"
 #include "stats/flow_tracker.h"
@@ -64,7 +64,7 @@ class CoreliteEdgeRouter {
   /// them in the compressed-out span.  Must be set before any add_flow;
   /// nullptr (the default) keeps the legacy engine-time scheduling
   /// bit for bit.
-  void set_fluid_warp(sim::fluid::TimeWarp* warp) { warp_ = warp; }
+  void set_fluid_warp(sim::fluid::TimeWarp* warp) { flows_.set_fluid_warp(warp); }
 
   /// Current allowed transmission rate b_g(f) in pkt/s (0 if unknown/idle).
   [[nodiscard]] double current_rate_pps(net::FlowId flow) const;
@@ -75,56 +75,47 @@ class CoreliteEdgeRouter {
   [[nodiscard]] std::uint64_t data_delivered_here() const { return data_delivered_; }
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  /// Transit-only state (add_transit_flow): the shaping queue of
+  /// diverted packets, drained through a token bucket (burst tolerance
+  /// without changing the mean rate).  Sourced flows carry none.
+  struct Transit {
+    explicit Transit(const TokenBucket& b) : bucket{b} {}
 
-  struct FlowState {
-    net::FlowSpec spec;
-    std::unique_ptr<RateController> ctrl;
-    bool active = false;
-    /// Position in active_ while active (kNoSlot otherwise) — O(1)
-    /// swap-removal when the flow stops.
-    std::size_t active_slot = kNoSlot;
+    std::deque<net::Packet> queue;
+    TokenBucket bucket;
+    bool draining = false;  ///< drain loop currently scheduled
+  };
+
+  struct FlowState : EdgeFlow {
+    FlowState(const net::FlowSpec& s, const CoreliteConfig& cfg, std::unique_ptr<Transit> t)
+        : EdgeFlow{s, cfg.adapt},
+          marker_spacing{std::max<std::uint32_t>(
+              1, static_cast<std::uint32_t>(std::lround(cfg.k1 * s.weight)))},
+          transit{std::move(t)} {}
+
     /// Out-of-profile packet credit: each data packet contributes the
     /// flow's out-of-profile fraction; a marker is injected when the
     /// credit reaches N_w.  For flows without a min-rate contract every
     /// packet is out-of-profile and this reduces to "a marker after
     /// every N_w data packets" (paper §2.2).
     double marker_credit = 0.0;
-    std::uint32_t marker_spacing = 1;  ///< N_w = K1 * w
+    std::uint32_t marker_spacing;  ///< N_w = K1 * w
     /// Marker-feedback counts keyed by originating core router.  A flow
     /// crosses a handful of cores, so a flat pair vector beats a hash
     /// map on both memory (no buckets per flow) and epoch-scan cost.
     std::vector<std::pair<net::NodeId, int>> feedback_per_core;
-    /// Emission/drain events are fire-and-forget (no per-event control
-    /// block); stopping the flow bumps this generation so in-flight
-    /// events of the old chain turn into no-ops.
-    std::uint32_t emit_gen = 0;
     sim::SimTime pacing_anchor;  ///< OnOff burst-cycle phase reference
-
-    /// Transit mode: shaping queue of diverted packets, drained through
-    /// a token bucket (burst tolerance without changing the mean rate).
-    bool transit = false;
-    bool draining = false;  ///< transit drain loop currently scheduled
-    std::deque<net::Packet> shaping_queue;
-    TokenBucket bucket{1.0, 1.0};
-
-    FlowState(const net::FlowSpec& s, const RateAdaptConfig& rc)
-        : spec{s}, ctrl{make_rate_controller(rc, s.min_rate_pps)} {}
+    std::unique_ptr<Transit> transit;  ///< null for sourced flows
 
     /// Rate above the minimum contract — the only part that competes
     /// for weighted fairness and the only part that is marked.
     [[nodiscard]] double out_of_profile_pps() const {
-      return std::max(0.0, ctrl->rate_pps() - spec.min_rate_pps);
+      return std::max(0.0, ctrl.rate_pps() - spec.min_rate_pps);
     }
   };
+  friend class FlowTable<FlowState, CoreliteEdgeRouter>;
 
-  /// Dense id-indexed lookup; nullptr for unknown flows.
-  [[nodiscard]] FlowState* lookup(net::FlowId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
-  }
-  void register_flow(std::unique_ptr<FlowState> fs);
-
-  void schedule_window(FlowState& fs, std::size_t window);
+  void admit(const net::FlowSpec& spec, std::unique_ptr<Transit> transit);
   void start_flow(FlowState& fs);
   void stop_flow(FlowState& fs);
   void emit_packet(FlowState& fs);
@@ -140,14 +131,7 @@ class CoreliteEdgeRouter {
   net::NodeId node_;
   CoreliteConfig cfg_;
   stats::FlowTracker* tracker_;
-  sim::fluid::TimeWarp* warp_ = nullptr;
-  /// Owner (insertion order, address-stable via unique_ptr: emission
-  /// events capture FlowState&), dense id index, and the set of
-  /// currently active flows — per-epoch bookkeeping is O(active), and
-  /// per-packet lookups are an array index instead of a hash probe.
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  std::vector<FlowState*> by_id_;
-  std::vector<FlowState*> active_;
+  FlowTable<FlowState, CoreliteEdgeRouter> flows_{*this, net_, node_};
   sim::PeriodicHandle epoch_timer_;
   std::uint64_t markers_injected_ = 0;
   std::uint64_t feedback_received_ = 0;

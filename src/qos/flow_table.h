@@ -1,0 +1,157 @@
+// Per-flow edge state shared by the Corelite and CSFQ edge routers.
+//
+// In the paper's architecture the edges hold all per-flow state and the
+// cores hold none, so at scale the edge's flow record is the whole
+// per-flow memory cost.  FlowTable keeps, once for both edges:
+//   - the records, in one address-stable slab: emission and lifecycle
+//     events capture Flow&, and std::deque never moves an element on
+//     emplace_back, while allocating records a block at a time;
+//   - a dense id index, so per-packet lookups are an array index;
+//   - the set of active flows with O(1) swap-removal, so per-epoch
+//     bookkeeping is O(active);
+//   - the lazy activity-window cursor.
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "net/flow.h"
+#include "net/network.h"
+#include "qos/rate_controller.h"
+#include "sim/fluid/warp.h"
+
+namespace corelite::qos {
+
+/// The fields every edge flow record starts with.
+struct EdgeFlow {
+  static constexpr std::uint32_t kInactive = UINT32_MAX;
+
+  EdgeFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt)
+      : spec{s}, ctrl{adapt, s.min_rate_pps} {}
+
+  [[nodiscard]] bool active() const { return active_slot != kInactive; }
+
+  net::FlowSpec spec;
+  RateController ctrl;
+  /// Position in the table's active set; kInactive while stopped.
+  std::uint32_t active_slot = kInactive;
+  /// Emission events are fire-and-forget (no per-event control block);
+  /// stopping the flow bumps this generation so in-flight events of the
+  /// old chain turn into no-ops.
+  std::uint32_t emit_gen = 0;
+};
+
+/// `Flow` derives from EdgeFlow.  At each activity-window transition the
+/// table calls `owner.start_flow(Flow&)` or `owner.stop_flow(Flow&)`.
+template <class Flow, class Owner>
+class FlowTable {
+ public:
+  FlowTable(Owner& owner, net::Network& network, net::NodeId node)
+      : owner_{owner}, net_{network}, node_{node} {}
+
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
+
+  /// Fluid fast-forward: route window transitions through the
+  /// experiment-time warp registry (see CoreliteEdgeRouter::
+  /// set_fluid_warp).  Must be set before any add.
+  void set_fluid_warp(sim::fluid::TimeWarp* warp) { warp_ = warp; }
+
+  /// Construct a record in the slab, index it by id and schedule its
+  /// first activity window.
+  template <class... Args>
+  Flow& add(Args&&... args) {
+    Flow& fs = flows_.emplace_back(std::forward<Args>(args)...);
+    const net::FlowId id = fs.spec.id;
+    if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
+    assert(by_id_[id] == nullptr && "duplicate flow id");
+    by_id_[id] = &fs;
+    schedule_window(fs, 0);
+    return fs;
+  }
+
+  /// Dense id-indexed lookup; nullptr for unknown flows.
+  [[nodiscard]] Flow* lookup(net::FlowId id) const {
+    return id < by_id_.size() ? by_id_[id] : nullptr;
+  }
+
+  [[nodiscard]] const std::vector<Flow*>& active() const { return active_; }
+
+  /// Join the active set; false if the flow already was active.
+  bool activate(Flow& fs) {
+    if (fs.active()) return false;
+    fs.active_slot = static_cast<std::uint32_t>(active_.size());
+    active_.push_back(&fs);
+    return true;
+  }
+
+  /// Leave the active set and orphan the flow's in-flight emission
+  /// events; false if the flow was not active.
+  bool deactivate(Flow& fs) {
+    if (!fs.active()) return false;
+    Flow* last = active_.back();
+    active_[fs.active_slot] = last;
+    last->active_slot = fs.active_slot;
+    active_.pop_back();
+    fs.active_slot = EdgeFlow::kInactive;
+    ++fs.emit_gen;
+    return true;
+  }
+
+ private:
+  // Lazy lifecycle cursor: only the next transition of each flow sits in
+  // the event queue (a 100k-flow churn population would otherwise park
+  // two events per window up front).  Each window still costs exactly
+  // one start and one finite-stop event, matching the eager schedule.
+  void schedule_window(Flow& fs, std::size_t window) {
+    auto& sim = net_.local_sim(node_);
+    const auto& windows = fs.spec.active;
+    if (warp_ != nullptr) {
+      // Fluid fast-forward: transitions are pinned to absolute
+      // *experiment* time in the warp registry, whose heap top also caps
+      // how far a fast-forward jump may reach.
+      while (window < windows.size() && windows[window].stop <= sim.exp_now()) ++window;
+      if (window >= windows.size()) return;
+      warp_->at_exp(std::max(windows[window].start, sim.exp_now()), [this, &fs, window] {
+        owner_.start_flow(fs);
+        const sim::SimTime stop = fs.spec.active[window].stop;
+        if (stop < sim::SimTime::infinite()) {
+          warp_->at_exp(stop, [this, &fs, window] {
+            owner_.stop_flow(fs);
+            schedule_window(fs, window + 1);
+          });
+        }
+      });
+      return;
+    }
+    while (window < windows.size() && windows[window].stop <= sim.now()) {
+      ++window;  // window already wholly in the past
+    }
+    if (window >= windows.size()) return;
+    sim.at_detached(std::max(windows[window].start, sim.now()), [this, &fs, window] {
+      owner_.start_flow(fs);
+      const sim::SimTime stop = fs.spec.active[window].stop;
+      if (stop < sim::SimTime::infinite()) {
+        net_.local_sim(node_).at_detached(stop, [this, &fs, window] {
+          owner_.stop_flow(fs);
+          schedule_window(fs, window + 1);
+        });
+      }
+    });
+  }
+
+  Owner& owner_;
+  net::Network& net_;
+  net::NodeId node_;
+  sim::fluid::TimeWarp* warp_ = nullptr;
+  std::deque<Flow> flows_;
+  std::vector<Flow*> by_id_;
+  std::vector<Flow*> active_;
+};
+
+}  // namespace corelite::qos

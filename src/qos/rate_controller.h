@@ -1,30 +1,32 @@
-// Edge rate-adaptation controllers (paper §2.2 step 3, §4, §4.4).
+// Edge rate-adaptation controller (paper §2.2 step 3, §4, §4.4).
 //
 // The paper's evaluation uses a weighted LIMD scheme (linear increase /
 // marker-proportional decrease) and notes that "simulations using
 // different adaptation schemes at the edge router ... are part of
-// ongoing work".  The adaptation policy is therefore pluggable:
+// ongoing work".  RateAdaptConfig::kind therefore selects the
+// closed-loop policy:
 //
-//   LimdRateController — the paper's scheme: +alpha pkt/s per unmarked
-//     epoch, -beta pkt/s per marker.  Because markers arrive in
-//     proportion to the normalized rate, the decrease is effectively
-//     multiplicative => converges to weighted max-min (Chiu & Jain).
+//   Limd — the paper's scheme: +alpha pkt/s per unmarked epoch, -beta
+//     pkt/s per marker.  Because markers arrive in proportion to the
+//     normalized rate, the decrease is effectively multiplicative =>
+//     converges to weighted max-min (Chiu & Jain).
 //
-//   AimdRateController — classic AIMD: +alpha per unmarked epoch,
-//     rate *= (1 - md_factor)^m on m markers.  Also converges; decrease
-//     is multiplicative by construction rather than via marker counts.
+//   Aimd — classic AIMD: +alpha per unmarked epoch, rate *=
+//     (1 - md_factor)^m on m markers.  Also converges; decrease is
+//     multiplicative by construction rather than via marker counts.
 //
-//   MimdRateController — multiplicative increase & decrease.  Does NOT
-//     converge to fairness (Chiu & Jain); provided as the negative
-//     control for bench/ablation_adaptation.
+//   Mimd — multiplicative increase & decrease.  Does NOT converge to
+//     fairness (Chiu & Jain); provided as the negative control for
+//     bench/ablation_adaptation.
 //
-// All controllers share the slow-start behaviour of the paper's source
+// All policies share the slow-start behaviour of the paper's source
 // agents: double once per second until the first congestion
 // notification or until the rate strictly exceeds ss-thresh, then halve
 // and enter the closed-loop phase.
+//
+// A controller is a per-flow value holding only per-flow state; every
+// call takes the edge's one RateAdaptConfig.
 #pragma once
-
-#include <memory>
 
 #include "qos/config.h"
 #include "sim/units.h"
@@ -33,77 +35,23 @@ namespace corelite::qos {
 
 class RateController {
  public:
-  virtual ~RateController() = default;
+  explicit RateController(const RateAdaptConfig& cfg, double min_rate_contract_pps = 0.0);
 
   /// Restart from scratch (flow [re]admission): initial rate, slow start.
-  virtual void reset(sim::SimTime now) = 0;
+  void reset(const RateAdaptConfig& cfg, sim::SimTime now);
 
   /// Apply one adaptation epoch with `feedback_count` markers/losses.
-  virtual void on_epoch(int feedback_count, sim::SimTime now) = 0;
+  void on_epoch(const RateAdaptConfig& cfg, int feedback_count, sim::SimTime now);
 
-  [[nodiscard]] virtual double rate_pps() const = 0;
-  [[nodiscard]] virtual bool in_slow_start() const = 0;
-  [[nodiscard]] virtual double floor_pps() const = 0;
-};
-
-/// Shared slow-start + floor plumbing for the concrete controllers.
-class SlowStartBase : public RateController {
- public:
-  SlowStartBase(const RateAdaptConfig& cfg, double min_rate_contract_pps);
-
-  void reset(sim::SimTime now) final;
-  void on_epoch(int feedback_count, sim::SimTime now) final;
-
-  [[nodiscard]] double rate_pps() const final { return rate_; }
-  [[nodiscard]] bool in_slow_start() const final { return slow_start_; }
-  [[nodiscard]] double floor_pps() const final { return floor_; }
-
- protected:
-  /// Closed-loop step, called once slow start has ended.  Implementations
-  /// mutate `rate` and must respect `floor`.
-  virtual void adapt(double& rate, int feedback_count, double floor) = 0;
-
-  RateAdaptConfig cfg_;
+  [[nodiscard]] double rate_pps() const { return rate_; }
+  [[nodiscard]] bool in_slow_start() const { return slow_start_; }
+  [[nodiscard]] double floor_pps() const { return floor_; }
 
  private:
   double floor_;
   double rate_;
-  bool slow_start_ = true;
   sim::SimTime last_double_ = sim::SimTime::zero();
+  bool slow_start_ = true;
 };
-
-/// The paper's controller: linear increase, beta-per-marker decrease.
-class LimdRateController final : public SlowStartBase {
- public:
-  explicit LimdRateController(const RateAdaptConfig& cfg, double min_rate_contract_pps = 0.0)
-      : SlowStartBase(cfg, min_rate_contract_pps) {}
-
- protected:
-  void adapt(double& rate, int feedback_count, double floor) override;
-};
-
-/// Classic AIMD with per-marker multiplicative decrease factor.
-class AimdRateController final : public SlowStartBase {
- public:
-  explicit AimdRateController(const RateAdaptConfig& cfg, double min_rate_contract_pps = 0.0)
-      : SlowStartBase(cfg, min_rate_contract_pps) {}
-
- protected:
-  void adapt(double& rate, int feedback_count, double floor) override;
-};
-
-/// MIMD negative control: multiplicative increase and decrease.
-class MimdRateController final : public SlowStartBase {
- public:
-  explicit MimdRateController(const RateAdaptConfig& cfg, double min_rate_contract_pps = 0.0)
-      : SlowStartBase(cfg, min_rate_contract_pps) {}
-
- protected:
-  void adapt(double& rate, int feedback_count, double floor) override;
-};
-
-/// Build the controller selected by cfg.kind.
-[[nodiscard]] std::unique_ptr<RateController> make_rate_controller(
-    const RateAdaptConfig& cfg, double min_rate_contract_pps = 0.0);
 
 }  // namespace corelite::qos

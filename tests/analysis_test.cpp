@@ -25,12 +25,12 @@ TEST(LimdModel, SlowStartClosedForm) {
 TEST(LimdModel, SlowStartMatchesController) {
   const auto cfg = paper_adapt();
   const auto p = predict_slow_start(cfg);
-  qos::LimdRateController c{cfg};
-  c.reset(sim::SimTime::zero());
+  qos::RateController c{cfg};
+  c.reset(cfg, sim::SimTime::zero());
   double exit_t = -1.0;
   for (int e = 1; e <= 200; ++e) {
     const auto t = sim::SimTime::seconds(0.1 * e);
-    c.on_epoch(0, t);
+    c.on_epoch(cfg, 0, t);
     if (!c.in_slow_start()) {
       exit_t = t.sec();
       break;

@@ -127,9 +127,11 @@ struct CountingObserver final : LinkObserver {
 };
 
 TEST(Link, ObserverSeesEnqueueDequeueDrop) {
+  // Declared before the fixture so it outlives the link, whose
+  // destructor notifies it.
+  CountingObserver obs;
   TwoNodeFixture f;
   Link& l = f.make_link(sim::Rate::kbps(8), sim::TimeDelta::zero(), /*cap=*/1);
-  CountingObserver obs;
   l.add_observer(&obs);
   for (int i = 0; i < 5; ++i) l.send(f.data(static_cast<std::uint64_t>(i)));
   f.simulator.run();

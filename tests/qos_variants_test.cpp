@@ -25,56 +25,70 @@ RateAdaptConfig cfg_of(AdaptKind kind) {
 // ---------------------------------------------------------------------------
 // Controller variants
 
-TEST(AdaptVariants, FactoryBuildsRequestedKind) {
-  auto limd = make_rate_controller(cfg_of(AdaptKind::Limd));
-  auto aimd = make_rate_controller(cfg_of(AdaptKind::Aimd));
-  auto mimd = make_rate_controller(cfg_of(AdaptKind::Mimd));
-  ASSERT_NE(dynamic_cast<LimdRateController*>(limd.get()), nullptr);
-  ASSERT_NE(dynamic_cast<AimdRateController*>(aimd.get()), nullptr);
-  ASSERT_NE(dynamic_cast<MimdRateController*>(mimd.get()), nullptr);
+TEST(AdaptVariants, KindSelectsPolicy) {
+  // Same closed-loop state, one unmarked and one marked epoch: LIMD and
+  // AIMD add alpha, MIMD multiplies by mi_factor; LIMD subtracts beta
+  // per marker, AIMD and MIMD multiply by (1 - md_factor)^m.
+  for (AdaptKind kind : {AdaptKind::Limd, AdaptKind::Aimd, AdaptKind::Mimd}) {
+    auto cfg = cfg_of(kind);
+    cfg.alpha_pps = 3.0;
+    cfg.beta_pps = 2.0;
+    cfg.md_factor = 0.5;
+    cfg.mi_factor = 1.5;
+    RateController c{cfg};
+    c.reset(cfg, at(0));
+    for (int s = 1; s <= 6; ++s) c.on_epoch(cfg, 0, at(s));  // exit slow start at 32
+    ASSERT_DOUBLE_EQ(c.rate_pps(), 32.0);
+    c.on_epoch(cfg, 0, at(6.1));
+    EXPECT_DOUBLE_EQ(c.rate_pps(), kind == AdaptKind::Mimd ? 48.0 : 35.0);
+    const double r0 = c.rate_pps();
+    c.on_epoch(cfg, 2, at(6.2));
+    EXPECT_DOUBLE_EQ(c.rate_pps(), kind == AdaptKind::Limd ? r0 - 4.0 : r0 * 0.25);
+  }
 }
 
 TEST(AdaptVariants, AimdDecreaseIsMultiplicative) {
   auto cfg = cfg_of(AdaptKind::Aimd);
   cfg.md_factor = 0.1;
-  AimdRateController c{cfg};
-  c.reset(at(0));
-  for (int s = 1; s <= 6; ++s) c.on_epoch(0, at(s));  // exit slow start at 32
-  for (int e = 0; e < 100; ++e) c.on_epoch(0, at(6.1 + 0.1 * e));  // climb to 132
+  RateController c{cfg};
+  c.reset(cfg, at(0));
+  for (int s = 1; s <= 6; ++s) c.on_epoch(cfg, 0, at(s));  // exit slow start at 32
+  for (int e = 0; e < 100; ++e) c.on_epoch(cfg, 0, at(6.1 + 0.1 * e));  // climb to 132
   const double r0 = c.rate_pps();
-  c.on_epoch(2, at(17.0));
+  c.on_epoch(cfg, 2, at(17.0));
   EXPECT_NEAR(c.rate_pps(), r0 * 0.81, 1e-9);  // (1-0.1)^2
 }
 
 TEST(AdaptVariants, MimdIncreaseIsMultiplicative) {
   auto cfg = cfg_of(AdaptKind::Mimd);
   cfg.mi_factor = 1.05;
-  MimdRateController c{cfg};
-  c.reset(at(0));
-  for (int s = 1; s <= 6; ++s) c.on_epoch(0, at(s));  // exit slow start at 32
+  RateController c{cfg};
+  c.reset(cfg, at(0));
+  for (int s = 1; s <= 6; ++s) c.on_epoch(cfg, 0, at(s));  // exit slow start at 32
   const double r0 = c.rate_pps();
-  c.on_epoch(0, at(6.5));
-  c.on_epoch(0, at(6.6));
+  c.on_epoch(cfg, 0, at(6.5));
+  c.on_epoch(cfg, 0, at(6.6));
   EXPECT_NEAR(c.rate_pps(), r0 * 1.05 * 1.05, 1e-9);
 }
 
 TEST(AdaptVariants, AllVariantsShareSlowStart) {
   for (AdaptKind kind : {AdaptKind::Limd, AdaptKind::Aimd, AdaptKind::Mimd}) {
-    auto c = make_rate_controller(cfg_of(kind));
-    c->reset(at(0));
-    EXPECT_TRUE(c->in_slow_start());
-    c->on_epoch(1, at(0.1));  // first feedback exits slow start everywhere
-    EXPECT_FALSE(c->in_slow_start());
+    const auto cfg = cfg_of(kind);
+    RateController c{cfg};
+    c.reset(cfg, at(0));
+    EXPECT_TRUE(c.in_slow_start());
+    c.on_epoch(cfg, 1, at(0.1));  // first feedback exits slow start everywhere
+    EXPECT_FALSE(c.in_slow_start());
   }
 }
 
 TEST(AdaptVariants, FloorHoldsForAllVariants) {
   for (AdaptKind kind : {AdaptKind::Limd, AdaptKind::Aimd, AdaptKind::Mimd}) {
-    auto cfg = cfg_of(kind);
-    auto c = make_rate_controller(cfg, /*contract=*/7.0);
-    c->reset(at(0));
-    for (int e = 0; e < 200; ++e) c->on_epoch(10, at(0.1 * (e + 1)));
-    EXPECT_GE(c->rate_pps(), 7.0) << "kind " << static_cast<int>(kind);
+    const auto cfg = cfg_of(kind);
+    RateController c{cfg, /*contract=*/7.0};
+    c.reset(cfg, at(0));
+    for (int e = 0; e < 200; ++e) c.on_epoch(cfg, 10, at(0.1 * (e + 1)));
+    EXPECT_GE(c.rate_pps(), 7.0) << "kind " << static_cast<int>(kind);
   }
 }
 
