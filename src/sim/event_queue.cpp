@@ -4,16 +4,6 @@
 
 namespace corelite::sim {
 
-EventHandle EventQueue::schedule(SimTime at, Callback cb) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  s.state = std::make_shared<EventHandle::State>();
-  EventHandle handle{s.state};
-  push_entry(at.sec(), slot, /*cancellable=*/true);
-  return handle;
-}
-
 void EventQueue::clear() {
   const auto discard = [this](const Entry& e) {
     const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);

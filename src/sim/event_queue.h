@@ -19,8 +19,10 @@
 // traffic to the heap, mirroring CORELITE_NO_FASTMATH.
 //
 // Engineering notes (the million-event hot path):
-//   - Callbacks are SmallFunction: captures up to 48 bytes live inline,
-//     so scheduling a link-completion closure touches no heap.
+//   - Callbacks are SmallFunction: captures up to 40 bytes live inline,
+//     so scheduling a link-completion closure touches no heap.  A larger
+//     capture fails to compile rather than allocate, and a slot
+//     (callback + handle state) is exactly one 64-byte cache line.
 //   - `schedule_detached()` skips the EventHandle control block
 //     entirely; `schedule()` materializes one only because the caller
 //     keeps the handle.
@@ -81,16 +83,24 @@ class EventHandle {
 class EventQueue {
  public:
   /// Inline capacity covers the forwarding-plane closures (a `this`
-  /// pointer, a pooled packet handle and a couple of scalars); bigger
-  /// captures silently fall back to the heap.
-  using Callback = SmallFunction<void(), 48>;
+  /// pointer, a pooled packet handle and a couple of scalars) and makes
+  /// a slot exactly one 64-byte cache line.
+  using Callback = SmallFunction<void(), 40>;
 
   EventQueue() : wheel_enabled_{std::getenv("CORELITE_NO_WHEEL") == nullptr} {}
 
-  /// Schedule `cb` to fire at absolute time `at`.  Allocates the
+  /// Schedule `f` to fire at absolute time `at`.  Allocates the
   /// handle's shared control block — use schedule_detached() when the
   /// handle would be discarded.
-  EventHandle schedule(SimTime at, Callback cb);
+  template <class F>
+  EventHandle schedule(SimTime at, F&& f) {
+    const std::uint32_t slot = emplace_slot(std::forward<F>(f));
+    Slot& s = slots_[slot];
+    s.state = std::make_shared<EventHandle::State>();
+    EventHandle handle{s.state};
+    push_entry(at.sec(), slot, /*cancellable=*/true);
+    return handle;
+  }
 
   /// Fire-and-forget fast path: no handle, no control block, no way to
   /// cancel.  Shares the sequence counter with schedule(), so the
@@ -99,9 +109,7 @@ class EventQueue {
   /// slot — no relocation through by-value parameters on the way in.
   template <class F>
   void schedule_detached(SimTime at, F&& f) {
-    const std::uint32_t slot = acquire_slot();
-    slots_[slot].cb.emplace(std::forward<F>(f));
-    push_entry(at.sec(), slot, /*cancellable=*/false);
+    push_entry(at.sec(), emplace_slot(std::forward<F>(f)), /*cancellable=*/false);
   }
 
   /// True if no live events remain.  May discard dead (cancelled) entries.
@@ -164,6 +172,7 @@ class EventQueue {
     Callback cb;
     std::shared_ptr<EventHandle::State> state;  ///< null for detached events
   };
+  static_assert(sizeof(Slot) == 64, "an event slot is one 64-byte cache line");
 
   /// The surfaced earliest live entry and which tier it came from.
   struct Front {
@@ -238,6 +247,17 @@ class EventQueue {
     // call per event instead of two for non-trivial closures.
     cb.consume();
     return t;
+  }
+
+  /// Build `f` directly in a free slot.  A closure too big to store
+  /// inline fails to compile, so no event ever allocates its callback.
+  template <class F>
+  std::uint32_t emplace_slot(F&& f) {
+    static_assert(Callback::kFitsInline<std::decay_t<F>>,
+                  "event closure exceeds the Callback's inline capacity");
+    const std::uint32_t slot = acquire_slot();
+    slots_[slot].cb.emplace(std::forward<F>(f));
+    return slot;
   }
 
   std::uint32_t acquire_slot() {

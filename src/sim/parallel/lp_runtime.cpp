@@ -15,10 +15,10 @@
 namespace corelite::sim::par {
 
 std::uint64_t derive_lp_seed(std::uint64_t seed, std::size_t lp) {
-  // splitmix64 with an LP-specific tag; the additive multiplier differs
-  // from runner::derive_seed's golden-ratio constant so per-repeat and
-  // per-LP streams can never alias.
-  std::uint64_t z = (seed ^ 0x6c702d73747265616dULL) +
+  // splitmix64 with an LP-specific tag (ASCII "p-stream"); the additive
+  // multiplier differs from runner::derive_seed's golden-ratio constant
+  // so per-repeat and per-LP streams can never alias.
+  std::uint64_t z = (seed ^ 0x702d73747265616dULL) +
                     0x632be59bd9b4e019ULL * (static_cast<std::uint64_t>(lp) + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

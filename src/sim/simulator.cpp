@@ -5,16 +5,6 @@
 
 namespace corelite::sim {
 
-EventHandle Simulator::at(SimTime at, EventQueue::Callback cb) {
-  assert(at >= now_ && "cannot schedule an event in the past");
-  return queue_.schedule(at, std::move(cb));
-}
-
-EventHandle Simulator::after(TimeDelta delay, EventQueue::Callback cb) {
-  assert(delay >= TimeDelta::zero());
-  return at(now_ + delay, std::move(cb));
-}
-
 void Simulator::run_until(SimTime deadline) {
   stopped_ = false;
   // Published so in-event batch drains (can_advance_inline) never fuse a

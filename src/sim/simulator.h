@@ -48,11 +48,19 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `cb` at absolute virtual time `at` (must not be in the past).
-  EventHandle at(SimTime at, EventQueue::Callback cb);
+  /// Schedule `f` at absolute virtual time `at` (must not be in the past).
+  template <class F>
+  EventHandle at(SimTime at, F&& f) {
+    assert(at >= now_ && "cannot schedule an event in the past");
+    return queue_.schedule(at, std::forward<F>(f));
+  }
 
-  /// Schedule `cb` after a relative delay from now.
-  EventHandle after(TimeDelta delay, EventQueue::Callback cb);
+  /// Schedule `f` after a relative delay from now.
+  template <class F>
+  EventHandle after(TimeDelta delay, F&& f) {
+    assert(delay >= TimeDelta::zero());
+    return at(now_ + delay, std::forward<F>(f));
+  }
 
   /// Fire-and-forget variants: no handle, no cancellation, and no
   /// per-event control-block allocation.  The forwarding plane uses

@@ -29,6 +29,13 @@ class SmallFunction;
 template <class R, class... Args, std::size_t Capacity>
 class SmallFunction<R(Args...), Capacity> {
  public:
+  /// True if a `D` is stored inline: it fits and moves without throwing,
+  /// so relocation (and heap sifting in the event queue) cannot fail.
+  template <class D>
+  static constexpr bool kFitsInline = sizeof(D) <= Capacity &&
+                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<D>;
+
   SmallFunction() noexcept = default;
   SmallFunction(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
@@ -137,13 +144,6 @@ class SmallFunction<R(Args...), Capacity> {
       ops_->relocate(src_buf, buf_);
     }
   }
-
-  // Inline storage requires a nothrow move so relocation (and therefore
-  // heap sifting in the event queue) cannot throw half-way.
-  template <class D>
-  static constexpr bool kFitsInline = sizeof(D) <= Capacity &&
-                                      alignof(D) <= alignof(std::max_align_t) &&
-                                      std::is_nothrow_move_constructible_v<D>;
 
   template <class D>
   struct InlineModel {

@@ -64,15 +64,24 @@ class TimerWheel {
   static constexpr double kTicksPerSecond = 131072.0;  // 2^17
 
   TimerWheel() {
-    // Pre-size every slot so the steady state — including the first lap
-    // over far-out slots — never allocates on the scheduling path.
+    // Pre-size every slot so the steady state never allocates on the
+    // scheduling path; release() trims a drained slot back to this.
     for (Level& lv : levels_) {
-      for (auto& slot : lv.slots) slot.reserve(4);
+      for (auto& slot : lv.slots) slot.reserve(kSlotReserve);
     }
   }
 
   /// Entries currently filed in the wheel (collected ones excluded).
   [[nodiscard]] std::size_t count() const { return count_; }
+
+  /// Heap bytes the slot vectors hold (capacity, not just live entries).
+  [[nodiscard]] std::size_t stored_bytes() const {
+    std::size_t n = 0;
+    for (const Level& lv : levels_) {
+      for (const auto& slot : lv.slots) n += slot.capacity();
+    }
+    return n * sizeof(WheelEntry);
+  }
 
   /// File an entry, or return false if it belongs to the overflow heap:
   /// non-finite or absurdly large times, times at or before the cursor
@@ -109,7 +118,7 @@ class TimerWheel {
         count_ -= slot.size();
         l0.entries -= slot.size();
         out.insert(out.end(), slot.begin(), slot.end());
-        slot.clear();
+        release(slot);
         clear_bit(l0.occupied, static_cast<std::size_t>(j0));
         return;
       }
@@ -143,7 +152,7 @@ class TimerWheel {
                   : (static_cast<unsigned>(std::bit_width(diverged)) - 1u) / kLevelBits;
           place(nl, tick, e);
         }
-        slot.clear();
+        release(slot);
         break;  // rescan level 0, which the cascade just populated
       }
       assert(level < kLevels && "count_ > 0 but no occupied slot found");
@@ -156,7 +165,7 @@ class TimerWheel {
     for (Level& lv : levels_) {
       for (auto& slot : lv.slots) {
         out.insert(out.end(), slot.begin(), slot.end());
-        slot.clear();
+        release(slot);
       }
       for (std::uint64_t& w : lv.occupied) w = 0;
       lv.entries = 0;
@@ -169,6 +178,9 @@ class TimerWheel {
   /// Ticks must survive the double->uint64 cast; anything this far out
   /// (well past the 2^32-tick horizon) overflows to the heap anyway.
   static constexpr double kMaxTick = 9.0e18;
+  static constexpr std::size_t kSlotReserve = 4;
+  /// A drained slot keeps at most this much capacity (see release()).
+  static constexpr std::size_t kSlotKeep = 64;
 
   struct Level {
     std::array<std::vector<WheelEntry>, kSlots> slots;
@@ -186,6 +198,16 @@ class TimerWheel {
     lv.slots[idx].push_back(e);
     lv.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++lv.entries;
+  }
+
+  /// Empty a drained slot, returning a burst's capacity to the allocator:
+  /// an upper-level slot is revisited only a full lap later.
+  static void release(std::vector<WheelEntry>& slot) {
+    slot.clear();
+    if (slot.capacity() > kSlotKeep) {
+      std::vector<WheelEntry>().swap(slot);
+      slot.reserve(kSlotReserve);
+    }
   }
 
   static void clear_bit(std::uint64_t* words, std::size_t idx) {

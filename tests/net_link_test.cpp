@@ -301,7 +301,9 @@ TEST(LinkBatching, RunUntilDeadlineIsNotOvershotByADrain) {
       EXPECT_DOUBLE_EQ(at, 0.005);
     }
     // Nothing after time 5 ms may appear before the pause entry.
-    if (!saw_pause) EXPECT_LE(at, 0.005) << tag;
+    if (!saw_pause) {
+      EXPECT_LE(at, 0.005) << tag;
+    }
   }
   EXPECT_TRUE(saw_pause);
 }

@@ -30,6 +30,7 @@
 #include "scenario/scenario.h"
 #include "sim/hotpath.h"
 #include "sim/parallel/lp_partition.h"
+#include "sim/parallel/lp_runtime.h"
 #include "sim/parallel/thread_budget.h"
 
 namespace rn = corelite::runner;
@@ -136,6 +137,16 @@ TEST(ThreadBudget, AcquireNeverExceedsHardwareAndReleases) {
   const std::size_t again = budget.acquire(1000);
   EXPECT_EQ(again, got);
   budget.release(again);
+}
+
+// ------------------------------------------------------------ LP seed streams
+
+TEST(LpSeed, DerivedSeedsArePinned) {
+  // Every --lp N digest rests on these per-LP streams, so their values
+  // are pinned: a changed tag constant fails here, not in a digest.
+  EXPECT_EQ(par::derive_lp_seed(1, 0), 0x109e92bc467ba170ULL);
+  EXPECT_EQ(par::derive_lp_seed(42, 3), 0x83fbd323a59161d5ULL);
+  EXPECT_EQ(par::derive_lp_seed(0xdeadbeefULL, 7), 0xd48c5deb2dcf8b1eULL);
 }
 
 // ------------------------------------------------------------ digest contract

@@ -158,6 +158,22 @@ TEST(EventQueue, SlotsAreRecycled) {
   EXPECT_LE(q.slot_capacity(), 4u);
 }
 
+TEST(EventQueue, AcceptsOnlyClosuresThatStayInline) {
+  // The event path never falls back to the heap: a 40-byte capture is
+  // stored inline, a 41-byte one is refused at compile time by
+  // schedule()/schedule_detached().
+  std::array<char, 40> fits{};
+  std::array<char, 41> too_big{};
+  auto small = [fits] { (void)fits; };
+  auto large = [too_big] { (void)too_big; };
+  static_assert(EventQueue::Callback::kFitsInline<decltype(small)>);
+  static_assert(!EventQueue::Callback::kFitsInline<decltype(large)>);
+  static_assert(sizeof(EventQueue::Callback) == 48);
+  EventQueue q;
+  q.schedule_detached(SimTime::seconds(1), small);
+  EXPECT_EQ(q.run_next(), SimTime::seconds(1));
+}
+
 // ---------------------------------------------------------------------------
 // SmallFunction
 

@@ -122,6 +122,29 @@ TEST(TimerWheel, DrainAllEmptiesEveryLevel) {
   EXPECT_EQ(wheel.count(), 0u);
 }
 
+/// `n` times spread over [1.0, 1.4) s in scrambled order: from cursor 0
+/// they all share one level-2 slot, so draining them cascades the whole
+/// burst through ~200 level-1 slots.
+std::vector<double> level2_burst(std::size_t n) {
+  std::vector<double> at(n);
+  std::uint64_t rng = 99;
+  for (double& t : at) t = 1.0 + 0.4 * static_cast<double>(mix(rng) % 1000000) / 1e6;
+  return at;
+}
+
+TEST(TimerWheel, DrainedBurstGivesStorageBack) {
+  TimerWheel wheel;
+  const std::vector<double> burst = level2_burst(100000);
+  for (std::size_t k = 0; k < burst.size(); ++k) ASSERT_TRUE(wheel.try_insert(burst[k], k));
+  EXPECT_GE(wheel.stored_bytes(), burst.size() * sizeof(WheelEntry));
+  std::vector<WheelEntry> out;
+  while (wheel.count() > 0) wheel.collect_next(out);
+  EXPECT_EQ(out.size(), burst.size());
+  // Only the per-slot reserve survives; the burst's capacity is back
+  // with the allocator.
+  EXPECT_LE(wheel.stored_bytes(), std::size_t{128} * 1024);
+}
+
 // ---------------------------------------------------------------------------
 // EventQueue / Simulator: wheel-on and wheel-off firing order identical.
 
@@ -167,6 +190,35 @@ TEST(EventQueueTiering, WheelOnFiringOrderMatchesHeapOnly) {
   const std::vector<int> on = run_workload(/*wheel_on=*/true);
   const std::vector<int> off = run_workload(/*wheel_on=*/false);
   ASSERT_EQ(on.size(), off.size());
+  EXPECT_EQ(on, off);
+}
+
+/// Fires the level-2 burst (with exact ties) through an EventQueue and
+/// returns the firing order as event ids.
+std::vector<std::uint32_t> run_burst(bool wheel_on) {
+  if (wheel_on) {
+    unsetenv("CORELITE_NO_WHEEL");
+  } else {
+    setenv("CORELITE_NO_WHEEL", "1", 1);
+  }
+  EventQueue q;
+  unsetenv("CORELITE_NO_WHEEL");
+  EXPECT_EQ(q.wheel_enabled(), wheel_on);
+  std::vector<double> burst = level2_burst(100000);
+  for (std::size_t k = 1; k < burst.size(); k += 9) burst[k] = burst[k - 1];
+  std::vector<std::uint32_t> fired;
+  fired.reserve(burst.size());
+  for (std::uint32_t id = 0; id < burst.size(); ++id) {
+    q.schedule_detached(SimTime::seconds(burst[id]), [&fired, id] { fired.push_back(id); });
+  }
+  while (!q.empty()) q.run_next();
+  return fired;
+}
+
+TEST(EventQueueTiering, BurstFiringOrderMatchesHeapOnly) {
+  const std::vector<std::uint32_t> on = run_burst(/*wheel_on=*/true);
+  const std::vector<std::uint32_t> off = run_burst(/*wheel_on=*/false);
+  ASSERT_EQ(on.size(), 100000u);
   EXPECT_EQ(on, off);
 }
 
