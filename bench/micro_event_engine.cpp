@@ -9,7 +9,9 @@
 //   3. steady-state packet forwarding on a live link, asserting the
 //      zero-allocations-per-hop property end to end,
 //   4. the 80-flow scale_flows rows (wall clock), tying the micro
-//      numbers back to a full scenario.
+//      numbers back to a full scenario,
+//   5. short-horizon and cold-record dispatch, each with the wheel on
+//      and off (CORELITE_NO_WHEEL).
 //
 // Results go to stdout and, machine-readable, to
 // BENCH_event_engine.json in the working directory.  The baseline
@@ -22,12 +24,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "net/network.h"
 #include "scenario/scenario.h"
 #include "sim/hotpath.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 // ---------------------------------------------------------------------------
@@ -256,6 +261,87 @@ ShortHorizonResult run_short_horizon(bool wheel_on) {
   return r;
 }
 
+// Cold per-flow records: kColdChains self-rescheduling chains, each
+// reading and updating its own 192-byte record, the shape of the edges'
+// emission timers at 100k flows.  Records (19 MB) and pending slots
+// (6 MB) outgrow the cache, so dispatch is bound by memory latency;
+// every closure is sim::Hinted with its record, which the dispatcher
+// prefetches an event ahead.  Periods are uniform in [0.2, 0.8] s.
+constexpr std::size_t kColdChains = 100'000;
+constexpr double kColdWarmupSec = 1.0;
+constexpr double kColdMeasureSec = 10.0;  // ~2.3M firings at 2.31/s per chain
+
+// The fields a firing reads and writes lead the record, where the
+// closure's hint points; the rest stands for the record's other state.
+struct ColdRecord {
+  double period;
+  std::uint64_t fires = 0;
+  double state = 0.0;
+  std::uint64_t other[21] = {};
+};
+static_assert(sizeof(ColdRecord) == 192);
+
+struct ColdRecordsResult {
+  std::uint64_t events = 0;
+  double events_per_sec = 0.0;
+  double ns_per_event = 0.0;
+  std::uint64_t order_checksum = 0;  ///< over (chain, fire time), firing order
+};
+
+struct ColdChains {
+  sim::Simulator& s;
+  std::vector<ColdRecord> records;
+  std::uint64_t fired = 0;
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+
+  void arm(std::uint32_t chain, sim::TimeDelta delay) {
+    s.after_detached(delay, sim::hinted(&records[chain], [this, chain] { fire(chain); }));
+  }
+
+  void fire(std::uint32_t chain) {
+    ColdRecord& r = records[chain];
+    ++r.fires;
+    r.state = r.state * 0.5 + r.period;
+    ++fired;
+    const double t = s.now().sec();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof bits);
+    checksum = (checksum ^ chain) * 0x100000001b3ULL;
+    checksum = (checksum ^ bits) * 0x100000001b3ULL;
+    arm(chain, sim::TimeDelta::seconds(r.period));
+  }
+};
+
+ColdRecordsResult run_cold_records(bool wheel_on) {
+  if (wheel_on) {
+    unsetenv("CORELITE_NO_WHEEL");
+  } else {
+    setenv("CORELITE_NO_WHEEL", "1", 1);
+  }
+  sim::Simulator s;
+  ColdChains chains{s, std::vector<ColdRecord>(kColdChains)};
+  sim::Rng rng{20260917};
+  for (std::uint32_t c = 0; c < kColdChains; ++c) {
+    chains.records[c].period = rng.uniform(0.2, 0.8);
+    chains.arm(c, sim::TimeDelta::seconds(rng.uniform(0.0, chains.records[c].period)));
+  }
+  s.run_until(sim::SimTime::seconds(kColdWarmupSec));
+  chains.fired = 0;
+  chains.checksum = 0xcbf29ce484222325ULL;
+
+  const double t0 = now_seconds();
+  s.run_until(sim::SimTime::seconds(kColdWarmupSec + kColdMeasureSec));
+  const double wall = now_seconds() - t0;
+  unsetenv("CORELITE_NO_WHEEL");
+
+  ColdRecordsResult r;
+  r.events = chains.fired;
+  r.events_per_sec = static_cast<double>(chains.fired) / wall;
+  r.ns_per_event = wall * 1e9 / static_cast<double>(chains.fired);
+  r.order_checksum = chains.checksum;
+  return r;
+}
+
 struct ForwardingResult {
   std::uint64_t hops = 0;
   std::uint64_t allocs = 0;
@@ -459,6 +545,19 @@ int main() {
               "(wheel/heap ratio %.2fx)\n",
               sh_off.events_per_sec / 1e6, sh_off.allocs_per_event, sh_ratio);
 
+  const ColdRecordsResult cold_on = run_cold_records(/*wheel_on=*/true);
+  const ColdRecordsResult cold_off = run_cold_records(/*wheel_on=*/false);
+  std::printf("cold records (wheel)   : %8.2f M events/s   %.1f ns/event  "
+              "(%llu firings, order checksum %016llx)\n",
+              cold_on.events_per_sec / 1e6, cold_on.ns_per_event,
+              static_cast<unsigned long long>(cold_on.events),
+              static_cast<unsigned long long>(cold_on.order_checksum));
+  std::printf("cold records (heap)    : %8.2f M events/s   %.1f ns/event  "
+              "(%llu firings, order checksum %016llx)\n",
+              cold_off.events_per_sec / 1e6, cold_off.ns_per_event,
+              static_cast<unsigned long long>(cold_off.events),
+              static_cast<unsigned long long>(cold_off.order_checksum));
+
   const ForwardingResult fwd = run_forwarding_loop();
   std::printf("forwarding steady state: %8.2f M hops/s     %.4f allocs/hop (%llu allocs / %llu hops)\n",
               fwd.hops_per_sec / 1e6, fwd.allocs_per_hop,
@@ -521,6 +620,17 @@ int main() {
                  "    \"wheel_insert_rate\": %.3f,\n"
                  "    \"cascades_per_event\": %.3f,\n"
                  "    \"allocs_per_event_wheel_on\": %.6f\n"
+                 "  },\n"
+                 "  \"cold_records\": {\n"
+                 "    \"chains\": %zu,\n"
+                 "    \"record_bytes\": %zu,\n"
+                 "    \"events\": %llu,\n"
+                 "    \"wheel_on_events_per_sec\": %.0f,\n"
+                 "    \"wheel_on_ns_per_event\": %.1f,\n"
+                 "    \"wheel_off_events_per_sec\": %.0f,\n"
+                 "    \"wheel_off_ns_per_event\": %.1f,\n"
+                 "    \"wheel_on_order_checksum\": \"%016llx\",\n"
+                 "    \"wheel_off_order_checksum\": \"%016llx\"\n"
                  "  },\n"
                  "  \"forwarding_steady_state\": {\n"
                  "    \"hops\": %llu,\n"
@@ -596,6 +706,10 @@ int main() {
                  static_cast<unsigned long long>(sh_on.events), kShortChains,
                  sh_on.events_per_sec, sh_off.events_per_sec, sh_ratio,
                  sh_on.wheel_insert_rate, sh_on.cascades_per_event, sh_on.allocs_per_event,
+                 kColdChains, sizeof(ColdRecord), static_cast<unsigned long long>(cold_on.events),
+                 cold_on.events_per_sec, cold_on.ns_per_event, cold_off.events_per_sec,
+                 cold_off.ns_per_event, static_cast<unsigned long long>(cold_on.order_checksum),
+                 static_cast<unsigned long long>(cold_off.order_checksum),
                  static_cast<unsigned long long>(fwd.hops),
                  static_cast<unsigned long long>(fwd.allocs), fwd.allocs_per_hop,
                  fwd.hops_per_sec,

@@ -180,17 +180,22 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
   }
   // A non-positive epoch (a zero-period core timer) or a negative link
   // delay (packets arriving before they leave) keeps the engine from
-  // ever reaching the end of the run, so both are rejected up front.
+  // ever reaching the end of the run.  The marker spacing N_w = K1 * w
+  // needs K1 > 0, and release builds compile out CongestionEstimator's
+  // assert on q_thresh, k_cubic >= 0.  A duration of 0 means the
+  // scenario default.
+  // (name, must be > 0 rather than >= 0)
+  for (const auto& [name, positive] :
+       {std::pair{"epoch-ms", true}, std::pair{"link-delay-ms", false}, std::pair{"k1", true},
+        std::pair{"qthresh", false}, std::pair{"kcubic", false}, std::pair{"duration", false}}) {
+    const double v = parser.get_double(name);
+    if (!std::isfinite(v) || v < 0.0 || (positive && v == 0.0)) {
+      err << "--" << name << (positive ? " must be > 0, got " : " must be >= 0, got ") << v << "\n";
+      return std::nullopt;
+    }
+  }
   const double epoch_ms = parser.get_double("epoch-ms");
-  if (!std::isfinite(epoch_ms) || epoch_ms <= 0.0) {
-    err << "--epoch-ms must be > 0, got " << epoch_ms << "\n";
-    return std::nullopt;
-  }
   const double delay_ms = parser.get_double("link-delay-ms");
-  if (!std::isfinite(delay_ms) || delay_ms < 0.0) {
-    err << "--link-delay-ms must be >= 0, got " << delay_ms << "\n";
-    return std::nullopt;
-  }
   spec.corelite.core_epoch = sim::TimeDelta::millis(epoch_ms);
   spec.corelite.k1 = parser.get_double("k1");
   spec.corelite.q_thresh_pkts = parser.get_double("qthresh");
@@ -200,6 +205,13 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     spec.generated->topology.cfg.link_delay = sim::TimeDelta::millis(delay_ms);
   }
   return spec;
+}
+
+std::optional<double> audit_band_from_args(const ArgParser& parser, std::ostream& err) {
+  const double band = parser.get_double("audit-band");
+  if (std::isfinite(band) && band > 0.0) return band;
+  err << "--audit-band must be > 0, got " << band << "\n";
+  return std::nullopt;
 }
 
 }  // namespace corelite::cli

@@ -19,6 +19,11 @@ void register_scenario_options(ArgParser& parser);
 [[nodiscard]] std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
                                                                    std::ostream& err);
 
+/// Reads --audit-band (registered by corelite_sim with the --audit
+/// family); nullopt and a diagnostic on `err` unless it is > 0.
+[[nodiscard]] std::optional<double> audit_band_from_args(const ArgParser& parser,
+                                                         std::ostream& err);
+
 /// Parses "1,2,3.5" into weights; empty on malformed input.
 [[nodiscard]] std::optional<std::vector<double>> parse_weight_list(const std::string& text);
 

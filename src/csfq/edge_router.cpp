@@ -67,27 +67,26 @@ void CsfqEdgeRouter::emit_packet(FlowState& fs) {
   const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
                                               : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(sim::TimeDelta::seconds(1.0 / rate),
-                                  [this, &fs, gen = fs.emit_gen] {
-                                    if (gen == fs.emit_gen) emit_packet(fs);
-                                  });
+                                       sim::hinted(&fs, [this, &fs, gen = fs.emit_gen] {
+                                         if (gen == fs.emit_gen) emit_packet(fs);
+                                       }));
 }
 
 void CsfqEdgeRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   const sim::SimTime exp_now = net_.local_sim(node_).exp_now();
-  for (FlowState* fsp : flows_.active()) {
-    FlowState& fs = *fsp;
+  flows_.for_each_active([&](FlowState& fs) {
     const int losses = fs.losses_this_epoch;
     fs.losses_this_epoch = 0;
     if (fs.spec.flood_pps > 0.0) {
       // Unresponsive source: loss feedback is discarded, the rate series
       // records the flood rate it actually emits at.
       if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
-      continue;
+      return;
     }
     fs.ctrl.on_epoch(cfg_.adapt, losses, now);
     if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
-  }
+  });
 }
 
 void CsfqEdgeRouter::handle_local(net::Packet&& p) {

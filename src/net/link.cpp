@@ -173,9 +173,10 @@ void Link::on_serialized(PooledPacket p) {
       stats_.data_bytes_delivered += p->size;
     }
     if (!cross_lp_) {
-      sim_.after_detached(prop_delay_, [this, p = std::move(p)]() mutable {
-        net_.deliver(to_, std::move(*p));
-      });
+      const Packet* hint = p.get();  // read before the capture moves p
+      sim_.after_detached(prop_delay_, sim::hinted(hint, [this, p = std::move(p)]() mutable {
+                            net_.deliver(to_, std::move(*p));
+                          }));
     } else {
       // Cut link: the propagation hop crosses an LP boundary.  The
       // packet is copied into the mailbox (due strictly after the

@@ -156,9 +156,9 @@ void CoreliteEdgeRouter::emit_packet(FlowState& fs) {
   const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
                                               : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(next_emission_gap(fs, rate),
-                                  [this, &fs, gen = fs.emit_gen] {
-                                    if (gen == fs.emit_gen) emit_packet(fs);
-                                  });
+                                       sim::hinted(&fs, [this, &fs, gen = fs.emit_gen] {
+                                         if (gen == fs.emit_gen) emit_packet(fs);
+                                       }));
 }
 
 void CoreliteEdgeRouter::count_marker_credit_and_maybe_mark(FlowState& fs) {
@@ -228,14 +228,13 @@ void CoreliteEdgeRouter::inject_marker(FlowState& fs) {
 void CoreliteEdgeRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   const sim::SimTime exp_now = net_.local_sim(node_).exp_now();
-  for (FlowState* fsp : flows_.active()) {
-    FlowState& fs = *fsp;
+  flows_.for_each_active([&](FlowState& fs) {
     if (fs.spec.flood_pps > 0.0) {
       // Unresponsive source: feedback is discarded, the rate series
       // records the flood rate it actually emits at.
       fs.feedback_per_core.clear();
       if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
-      continue;
+      return;
     }
     // React to the bottleneck: max over core routers, not the sum
     // (paper §2.2 step 3).
@@ -244,7 +243,7 @@ void CoreliteEdgeRouter::on_epoch() {
     fs.feedback_per_core.clear();
     fs.ctrl.on_epoch(cfg_.adapt, m, now);
     if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
-  }
+  });
 }
 
 void CoreliteEdgeRouter::handle_local(net::Packet&& p) {

@@ -82,6 +82,22 @@ class FlowTable {
 
   [[nodiscard]] const std::vector<Flow*>& active() const { return active_; }
 
+  /// Call `f(Flow&)` on every active flow in active() order, prefetching
+  /// every line of the record kAhead positions on: a 100k-flow epoch
+  /// sweep is bound by cold record reads.  `f` must not (de)activate.
+  template <class F>
+  void for_each_active(F&& f) {
+    constexpr std::size_t kAhead = 16;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (i + kAhead < active_.size()) {
+        const auto* rec = reinterpret_cast<const char*>(active_[i + kAhead]);
+        for (std::size_t off = 0; off < sizeof(Flow); off += 64) __builtin_prefetch(rec + off);
+        __builtin_prefetch(rec + sizeof(Flow) - 1);  // the last line, if straddled
+      }
+      f(*active_[i]);
+    }
+  }
+
   /// Join the active set; false if the flow already was active.
   bool activate(Flow& fs) {
     if (fs.active()) return false;

@@ -35,6 +35,10 @@
 //   - The hot methods are defined inline here; the tier merge and the
 //     schedule/fire pair inline into Simulator::run_until and the
 //     forwarding plane.
+//   - Two prefetch stages hide the cold reads of a 100k-flow run: on
+//     collect, a multi-entry wheel slot prefetches the slot line of each
+//     entry after the first; on fire, wheel entry i+1's sim::Hinted
+//     address is prefetched before entry i runs.  Order is untouched.
 #pragma once
 
 #include <algorithm>
@@ -208,7 +212,14 @@ class EventQueue {
       buffer_.clear();
       buf_pos_ = 0;
       wheel_.collect_next(buffer_);
-      if (buffer_.size() > 1) std::sort(buffer_.begin(), buffer_.end(), earlier);
+      if (buffer_.size() > 1) {
+        std::sort(buffer_.begin(), buffer_.end(), earlier);
+        // Prefetch stage 1: the first entry fires now and reads its
+        // slot anyway; start loading the slot line of every later one.
+        for (std::size_t i = 1; i < buffer_.size(); ++i) {
+          __builtin_prefetch(&slots_[buffer_[i].key & kSlotMask]);
+        }
+      }
     }
     drop_dead();
     const bool have_buf = buf_pos_ < buffer_.size();
@@ -228,6 +239,13 @@ class EventQueue {
     const Entry top = *f.entry;
     if (f.from_wheel) {
       ++buf_pos_;
+      // Prefetch stage 2: stage 1 cached the next entry's slot, so its
+      // hint is cheap to read; fetch the hinted line while this one runs.
+      if (buf_pos_ < buffer_.size()) {
+        if (const void* h = slots_[buffer_[buf_pos_].key & kSlotMask].cb.hint()) {
+          __builtin_prefetch(h);
+        }
+      }
     } else {
       remove_root();
     }

@@ -23,6 +23,28 @@
 
 namespace corelite::sim {
 
+/// A callable that declares the address it touches first, so the event
+/// dispatcher can prefetch it one event ahead (see EventQueue).  The hint
+/// never changes what the call does.  It is the first member: SmallFunction
+/// reads it from the start of its buffer without knowing F.
+template <class F>
+struct Hinted {
+  const void* hint;
+  F f;
+  template <class... A>
+  decltype(auto) operator()(A&&... args) { return f(std::forward<A>(args)...); }
+};
+
+template <class F>
+Hinted<std::decay_t<F>> hinted(const void* hint, F&& f) {
+  return {hint, std::forward<F>(f)};
+}
+
+template <class D>
+inline constexpr bool kIsHinted = false;
+template <class F>
+inline constexpr bool kIsHinted<Hinted<F>> = true;
+
 template <class Sig, std::size_t Capacity = 48>
 class SmallFunction;
 
@@ -106,6 +128,13 @@ class SmallFunction<R(Args...), Capacity> {
   /// True if the callable lives in the inline buffer (no heap involved).
   [[nodiscard]] bool is_inline() const noexcept { return ops_ != nullptr && ops_->inline_stored; }
 
+  /// The address an inline Hinted callable declared; nullptr for plain,
+  /// heap-stored or empty functions.
+  [[nodiscard]] const void* hint() const noexcept {
+    if (ops_ == nullptr || !ops_->hinted) return nullptr;
+    return *std::launder(reinterpret_cast<const void* const*>(buf_));
+  }
+
   R operator()(Args... args) {
     assert(ops_ != nullptr && "invoking an empty SmallFunction");
     return ops_->invoke(buf_, std::forward<Args>(args)...);
@@ -133,6 +162,7 @@ class SmallFunction<R(Args...), Capacity> {
     /// the destructor — the move path compiles to a few register copies
     /// with no indirect calls.
     bool trivial;
+    bool hinted;  ///< an inline Hinted<...>: its buffer starts with the hint
   };
 
   /// Move the callable out of `src_buf` into our own buffer.
@@ -195,12 +225,12 @@ class SmallFunction<R(Args...), Capacity> {
   template <class D>
   static constexpr Ops kInlineOps{&InlineModel<D>::invoke, &InlineModel<D>::invoke_destroy,
                                   &InlineModel<D>::relocate, &InlineModel<D>::destroy, true,
-                                  std::is_trivially_copyable_v<D>};
+                                  std::is_trivially_copyable_v<D>, kIsHinted<D>};
   // The heap representation (a single owning pointer) relocates by
   // pointer copy, but destruction must still delete — never trivial.
   template <class D>
   static constexpr Ops kHeapOps{&HeapModel<D>::invoke, &HeapModel<D>::invoke_destroy,
-                                &HeapModel<D>::relocate, &HeapModel<D>::destroy, false, false};
+                                &HeapModel<D>::relocate, &HeapModel<D>::destroy, false, false, false};
 
   alignas(std::max_align_t) unsigned char buf_[Capacity];
   const Ops* ops_ = nullptr;

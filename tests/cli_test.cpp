@@ -2,7 +2,10 @@
 // ScenarioSpec mapping used by tools/corelite_sim.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/args.h"
@@ -268,6 +271,64 @@ TEST(ScenarioArgs, VariantSelectionsApply) {
   EXPECT_EQ(spec->corelite.detector, qos::DetectorKind::Ewma);
   EXPECT_EQ(spec->corelite.adapt.kind, qos::AdaptKind::Aimd);
   EXPECT_EQ(spec->corelite.pacing, qos::PacingMode::Poisson);
+}
+
+// Builds a spec from `args`; true if it was refused with `message`.
+bool spec_refused(std::vector<const char*> args, const std::string& message) {
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  if (!parse(p, std::move(args), err)) return false;
+  return !spec_from_args(p, err).has_value() && err.str().find(message) != std::string::npos;
+}
+
+// CongestionEstimator asserts q_thresh >= 0, which release builds
+// compile out: the CLI is the only guard.
+TEST(ScenarioArgs, RejectsNegativeQueueThreshold) {
+  EXPECT_TRUE(spec_refused({"--qthresh", "-3"}, "--qthresh must be >= 0"));
+  EXPECT_FALSE(spec_refused({"--qthresh", "0"}, "--qthresh"));
+}
+
+TEST(ScenarioArgs, RejectsNegativeCubicGain) {
+  EXPECT_TRUE(spec_refused({"--kcubic", "-2"}, "--kcubic must be >= 0"));
+  EXPECT_FALSE(spec_refused({"--kcubic", "0"}, "--kcubic"));
+}
+
+// K1 <= 0 would otherwise be clamped to a marker spacing of N_w = 1.
+TEST(ScenarioArgs, RejectsNonPositiveK1) {
+  for (const char* k1 : {"0", "-1"}) {
+    EXPECT_TRUE(spec_refused({"--k1", k1}, "--k1 must be > 0")) << k1;
+  }
+}
+
+// 0 means the scenario default; a negative duration is an error.
+TEST(ScenarioArgs, RejectsNegativeDuration) {
+  EXPECT_TRUE(spec_refused({"--scenario", "fig5", "--duration", "-5"},
+                           "--duration must be >= 0"));
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  ASSERT_TRUE(parse(p, {"--scenario", "fig5", "--duration", "0"}, err));
+  const auto spec = spec_from_args(p, err);
+  ASSERT_TRUE(spec.has_value()) << err.str();
+  EXPECT_EQ(spec->duration.sec(), 80.0);  // fig5's default
+}
+
+TEST(ScenarioArgs, RejectsNonPositiveAuditBand) {
+  // corelite_sim registers --audit-band with the rest of the --audit family.
+  const auto band_of = [](const char* value, std::ostream& err) {
+    ArgParser p{"prog", "test"};
+    p.add_double("audit-band", 0.40, "relative oracle-deviation band");
+    EXPECT_TRUE(parse(p, {"--audit-band", value}, err));
+    return audit_band_from_args(p, err);
+  };
+  for (const char* band : {"0", "-1"}) {
+    std::ostringstream err;
+    EXPECT_FALSE(band_of(band, err).has_value()) << band;
+    EXPECT_NE(err.str().find("--audit-band must be > 0"), std::string::npos) << band;
+  }
+  std::ostringstream err;
+  EXPECT_EQ(band_of("0.25", err), std::optional<double>{0.25});
 }
 
 }  // namespace

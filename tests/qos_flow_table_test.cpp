@@ -1,0 +1,128 @@
+// Tests for qos::FlowTable, the per-flow edge state both edge routers
+// share: the id index, the active set with swap-removal, and the
+// prefetching active-set sweep.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "net/network.h"
+#include "qos/flow_table.h"
+#include "sim/simulator.h"
+
+namespace corelite::qos {
+namespace {
+
+struct TestFlow : EdgeFlow {
+  TestFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt) : EdgeFlow{s, adapt} {}
+  int visits = 0;
+};
+
+// The window events are never run here: the test drives the active set
+// directly, as the edge routers' start/stop hooks do.
+struct NullOwner {
+  void start_flow(TestFlow&) {}
+  void stop_flow(TestFlow&) {}
+};
+
+constexpr net::FlowId kFlows = 1000;
+
+struct FlowTableFixture {
+  sim::Simulator simulator{1};
+  net::Network network{simulator};
+  net::NodeId edge = network.add_node("edge");
+  NullOwner owner;
+  RateAdaptConfig adapt;
+  FlowTable<TestFlow, NullOwner> table{owner, network, edge};
+
+  // Flow ids 1..kFlows; id 0 is never added.
+  FlowTableFixture() {
+    for (net::FlowId id = 1; id <= kFlows; ++id) {
+      net::FlowSpec spec;
+      spec.id = id;
+      spec.ingress = edge;
+      spec.egress = edge;
+      table.add(spec, adapt);
+    }
+  }
+
+  TestFlow& flow(net::FlowId id) { return *table.lookup(id); }
+
+  // Activate everything, drop every third flow, bring back every ninth,
+  // then drop a pseudo-random tenth; returns the expected active ids.
+  std::vector<net::FlowId> scripted_churn() {
+    std::vector<bool> on(kFlows + 1, false);
+    const auto set = [&](net::FlowId id, bool active) {
+      EXPECT_EQ(active ? table.activate(flow(id)) : table.deactivate(flow(id)),
+                on[id] != active)
+          << id;
+      on[id] = active;
+    };
+    for (net::FlowId id = 1; id <= kFlows; ++id) set(id, true);
+    for (net::FlowId id = 3; id <= kFlows; id += 3) set(id, false);
+    for (net::FlowId id = 9; id <= kFlows; id += 9) set(id, true);
+    std::uint64_t lcg = 7;
+    for (int k = 0; k < 100; ++k) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      set(static_cast<net::FlowId>(1 + (lcg >> 33) % kFlows), false);
+    }
+    set(5, true);   // already active: refused
+    set(3, false);  // already inactive: refused
+    std::vector<net::FlowId> expected;
+    for (net::FlowId id = 1; id <= kFlows; ++id) {
+      if (on[id]) expected.push_back(id);
+    }
+    return expected;
+  }
+};
+
+TEST(FlowTable, ForEachActiveVisitsTheActiveSetOnceInOrder) {
+  FlowTableFixture f;
+  const std::vector<net::FlowId> expected = f.scripted_churn();
+  ASSERT_GT(expected.size(), 16u);  // longer than the prefetch distance
+
+  std::vector<net::FlowId> order;
+  f.table.for_each_active([&](TestFlow& fs) {
+    ++fs.visits;
+    order.push_back(fs.spec.id);
+  });
+  std::vector<net::FlowId> active_order;
+  for (const TestFlow* fs : f.table.active()) active_order.push_back(fs->spec.id);
+  EXPECT_EQ(order, active_order);
+
+  std::sort(order.begin(), order.end());
+  EXPECT_EQ(order, expected);
+  for (net::FlowId id = 1; id <= kFlows; ++id) {
+    EXPECT_EQ(f.flow(id).visits, f.flow(id).active() ? 1 : 0) << id;
+  }
+}
+
+TEST(FlowTable, ActiveSlotIndexesOwnPositionAfterSwapRemoval) {
+  FlowTableFixture f;
+  const std::vector<net::FlowId> expected = f.scripted_churn();
+  const auto& active = f.table.active();
+  ASSERT_EQ(active.size(), expected.size());
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    EXPECT_EQ(active[i]->active_slot, i) << active[i]->spec.id;
+  }
+  for (net::FlowId id = 1; id <= kFlows; ++id) {
+    const bool listed = std::binary_search(expected.begin(), expected.end(), id);
+    EXPECT_EQ(f.flow(id).active(), listed) << id;
+    if (!listed) {
+      EXPECT_EQ(f.flow(id).active_slot, EdgeFlow::kInactive) << id;
+    }
+  }
+}
+
+TEST(FlowTable, LookupOfUnknownIdIsNull) {
+  FlowTableFixture f;
+  EXPECT_EQ(f.table.lookup(0), nullptr);  // inside the index, never added
+  EXPECT_EQ(f.table.lookup(kFlows + 1), nullptr);
+  EXPECT_EQ(f.table.lookup(1u << 30), nullptr);
+  ASSERT_NE(f.table.lookup(kFlows), nullptr);
+  EXPECT_EQ(f.table.lookup(kFlows)->spec.id, kFlows);
+}
+
+}  // namespace
+}  // namespace corelite::qos

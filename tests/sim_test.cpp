@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -223,6 +225,109 @@ TEST(SmallFunction, DestroysCapturedState) {
     EXPECT_FALSE(watch.expired());  // the closure keeps it alive
   }
   EXPECT_TRUE(watch.expired());  // destroying the function releases it
+}
+
+TEST(SmallFunction, HintedReportsItsPointerAcrossMoves) {
+  int record = 0;
+  auto token = std::make_shared<int>(0);  // non-trivial: relocates through ops
+  SmallFunction<void(), 40> a{hinted(&record, [&record, token] { ++record; })};
+  EXPECT_TRUE(a.is_inline());
+  EXPECT_EQ(a.hint(), &record);
+  SmallFunction<void(), 40> b{std::move(a)};
+  EXPECT_EQ(a.hint(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.hint(), &record);
+  SmallFunction<void(), 40> c;
+  c = std::move(b);
+  EXPECT_EQ(c.hint(), &record);
+  c.consume();
+  EXPECT_EQ(record, 1);
+  EXPECT_EQ(c.hint(), nullptr);
+
+  int trivial = 0;  // trivially copyable: relocates by memcpy
+  SmallFunction<void(), 40> d{hinted(&trivial, [&trivial] { ++trivial; })};
+  SmallFunction<void(), 40> e{std::move(d)};
+  EXPECT_EQ(e.hint(), &trivial);
+}
+
+TEST(SmallFunction, PlainAndHeapCallablesHaveNoHint) {
+  int x = 0;
+  SmallFunction<void(), 40> empty;
+  EXPECT_EQ(empty.hint(), nullptr);
+  SmallFunction<void(), 40> plain{[&x] { ++x; }};
+  EXPECT_EQ(plain.hint(), nullptr);
+  std::array<double, 8> payload{};  // 64 bytes: stored on the heap
+  SmallFunction<void(), 40> heap{[payload, &x] { x += static_cast<int>(payload[0]); }};
+  ASSERT_FALSE(heap.is_inline());
+  EXPECT_EQ(heap.hint(), nullptr);
+  SmallFunction<void(), 40> heap_hinted{
+      hinted(&x, [payload, &x] { x += static_cast<int>(payload[0]); })};
+  ASSERT_FALSE(heap_hinted.is_inline());
+  EXPECT_EQ(heap_hinted.hint(), nullptr);
+}
+
+// 10,000 events over 2,500 level-0 ticks: several per collected wheel
+// slot, with exact ties.  Each of them files one follow-up a few ticks
+// on, so collections mix fresh and refilled slots.  With `hint_some`,
+// about half of the closures carry a hint.
+class MixedBurst {
+ public:
+  MixedBurst(bool wheel_on, bool hint_some) : hint_some_{hint_some} {
+    if (wheel_on) {
+      unsetenv("CORELITE_NO_WHEEL");
+    } else {
+      setenv("CORELITE_NO_WHEEL", "1", 1);
+    }
+    q_ = std::make_unique<EventQueue>();
+    unsetenv("CORELITE_NO_WHEEL");
+    EXPECT_EQ(q_->wheel_enabled(), wheel_on);
+  }
+
+  std::vector<std::uint32_t> run() {
+    for (std::uint32_t id = 0; id < kEvents; ++id) {
+      file(0.001 + static_cast<double>(draw() % 2500) / 131072.0 +
+               static_cast<double>(draw() % 2) * 1e-6,
+           id);
+    }
+    while (!q_->empty()) q_->run_next();
+    return fired_;
+  }
+
+ private:
+  static constexpr std::uint32_t kEvents = 10000;
+
+  std::uint64_t draw() {
+    lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg_ >> 33;
+  }
+
+  void file(double at, std::uint32_t id) {
+    auto body = [this, id, at] {
+      ++touched_[id % kEvents];
+      fired_.push_back(id);
+      if (id < kEvents) file(at + static_cast<double>(1 + id % 5) / 131072.0, id + kEvents);
+    };
+    const bool hint = draw() % 2 == 0;  // drawn either way: same times
+    if (hint && hint_some_) {
+      q_->schedule_detached(SimTime::seconds(at), hinted(&touched_[id % kEvents], body));
+    } else {
+      q_->schedule_detached(SimTime::seconds(at), body);
+    }
+  }
+
+  bool hint_some_;
+  std::unique_ptr<EventQueue> q_;
+  std::uint64_t lcg_ = 12345;
+  std::vector<std::uint32_t> touched_ = std::vector<std::uint32_t>(kEvents);
+  std::vector<std::uint32_t> fired_;
+};
+
+TEST(EventQueue, HintedClosuresNeverChangeFiringOrder) {
+  const std::vector<std::uint32_t> mixed = MixedBurst{true, true}.run();
+  const std::vector<std::uint32_t> plain = MixedBurst{true, false}.run();
+  const std::vector<std::uint32_t> heap_only = MixedBurst{false, true}.run();
+  ASSERT_EQ(mixed.size(), 20000u);
+  EXPECT_EQ(mixed, plain);
+  EXPECT_EQ(mixed, heap_only);
 }
 
 // ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ struct AuditArgs {
   std::string out_path;
   tel::FairnessAuditConfig cfg;
   std::vector<double> flood_pps;  ///< 0-sized when --flood absent
-  bool flood_malformed = false;
+  bool invalid = false;           ///< a diagnostic went to stderr
 
   static AuditArgs from(const corelite::cli::ArgParser& parser) {
     AuditArgs a;
@@ -117,7 +117,12 @@ struct AuditArgs {
     a.cfg.enabled = a.on;
     a.cfg.window = corelite::sim::TimeDelta::seconds(
         std::max(1e-3, parser.get_double("audit-window")));
-    a.cfg.band = parser.get_double("audit-band");
+    const auto band = corelite::cli::audit_band_from_args(parser, std::cerr);
+    if (!band.has_value()) {
+      a.invalid = true;
+      return a;
+    }
+    a.cfg.band = *band;
     const auto wd = parser.get_int("audit-watchdog");
     a.cfg.watchdog_enabled = wd > 0;
     if (wd > 0) a.cfg.watchdog_windows = static_cast<int>(wd);
@@ -130,7 +135,8 @@ struct AuditArgs {
                                ? -1.0
                                : std::strtod(item.c_str() + colon + 1, nullptr);
         if (colon == std::string::npos || id < 1 || !(pps > 0.0)) {
-          a.flood_malformed = true;
+          std::fprintf(stderr, "malformed --flood list (expect flow:pps pairs)\n");
+          a.invalid = true;
           break;
         }
         if (static_cast<std::size_t>(id) > a.flood_pps.size()) a.flood_pps.resize(id, 0.0);
@@ -245,10 +251,7 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
 
   const TelemetryArgs tele = TelemetryArgs::from(parser);
   const AuditArgs audit = AuditArgs::from(parser);
-  if (audit.flood_malformed) {
-    std::fprintf(stderr, "malformed --flood list (expect flow:pps pairs)\n");
-    return 2;
-  }
+  if (audit.invalid) return 2;
   tel::PhaseTimer phases;
   phases.start("setup");
   tel::TraceWriter trace;
@@ -466,10 +469,7 @@ int main(int argc, char** argv) {
 
   const TelemetryArgs tele = TelemetryArgs::from(parser);
   const AuditArgs audit = AuditArgs::from(parser);
-  if (audit.flood_malformed) {
-    std::fprintf(stderr, "malformed --flood list (expect flow:pps pairs)\n");
-    return 2;
-  }
+  if (audit.invalid) return 2;
   tel::PhaseTimer phases;
   phases.start("setup");
   tel::TraceWriter trace;
