@@ -21,6 +21,7 @@
 //
 // Build & run:  ./build/examples/custom_topology
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -29,8 +30,8 @@
 #include "net/tracer.h"
 #include "qos/core_router.h"
 #include "qos/edge_router.h"
+#include "sim/fluid/allocator.h"
 #include "sim/simulator.h"
-#include "stats/fairness.h"
 #include "stats/flow_tracker.h"
 
 using namespace corelite;
@@ -103,9 +104,11 @@ int main() {
 
   // Oracle: link capacities in pkt/s, flow paths as link indices.
   const std::vector<double> caps = {750.0, 500.0, 250.0};
-  std::vector<stats::MaxMinFlow> oracle_flows = {
-      {1, 1.0, {0, 1, 2}}, {2, 2.0, {0}}, {3, 1.0, {1}}, {4, 2.0, {2}}, {5, 1.0, {1, 2}}};
-  const auto ideal = stats::weighted_max_min(caps, oracle_flows);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<sim::fluid::AllocFlow> oracle_flows = {
+      {1.0, kInf, {0, 1, 2}}, {2.0, kInf, {0}}, {1.0, kInf, {1}}, {2.0, kInf, {2}},
+      {1.0, kInf, {1, 2}}};
+  const std::vector<double> ideal = sim::fluid::water_fill(caps, oracle_flows);
 
   std::printf("Custom parking-lot topology: bottlenecks 750/500/250 pkt/s\n\n");
   std::printf("%-6s %-7s %-12s %-9s %-9s\n", "flow", "weight", "path", "ideal", "measured");
@@ -113,7 +116,7 @@ int main() {
   for (std::size_t i = 1; i <= defs.size(); ++i) {
     const auto f = static_cast<net::FlowId>(i);
     std::printf("%-6zu %-7.0f %-12s %-9.2f %-9.2f\n", i, defs[i - 1].weight, paths[i - 1],
-                ideal.at(f), tracker.series(f).allotted_rate.average_over(60, 120));
+                ideal[i - 1], tracker.series(f).allotted_rate.average_over(60, 120));
   }
 
   std::uint64_t drops = 0;

@@ -18,15 +18,19 @@ namespace sc = corelite::scenario;
 namespace {
 
 void report(const char* title, const sc::ScenarioSpec& spec, const sc::ScenarioResult& r) {
+  // The oracle's fixed point: each contract plus a weighted share of
+  // the excess.
+  const auto ideal = sc::ideal_rates_at(spec, corelite::sim::SimTime::seconds(40));
   std::printf("%s\n", title);
-  std::printf("  %-6s %-7s %-10s %-11s %-9s\n", "flow", "weight", "contract", "steady",
-              "min(t>5)");
+  std::printf("  %-6s %-7s %-10s %-9s %-11s %-9s\n", "flow", "weight", "contract", "ideal",
+              "steady", "min(t>5)");
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
     const auto f = static_cast<corelite::net::FlowId>(i);
     const auto& fs = r.tracker.series(f);
     const double contract = i <= spec.min_rates.size() ? spec.min_rates[i - 1] : 0.0;
-    std::printf("  %-6zu %-7.0f %-10.0f %-11.1f %-9.1f\n", i, spec.weights[i - 1], contract,
-                fs.allotted_rate.average_over(40, 80), fs.allotted_rate.min_over(5, 80));
+    std::printf("  %-6zu %-7.0f %-10.0f %-9.1f %-11.1f %-9.1f\n", i, spec.weights[i - 1],
+                contract, ideal.at(f), fs.allotted_rate.average_over(40, 80),
+                fs.allotted_rate.min_over(5, 80));
   }
   std::printf("  drops: %llu\n\n",
               static_cast<unsigned long long>(r.total_data_drops));

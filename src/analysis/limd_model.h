@@ -6,7 +6,7 @@
 // discrete dynamics:
 //
 //   equilibrium rates     — the weighted max-min allocation (via the
-//                           water-filling oracle in stats/fairness.h).
+//                           water-filling oracle in sim/fluid/allocator.h).
 //   slow-start exit       — doubling from r0 once per T_ss until the
 //                           rate first strictly exceeds ss_thresh, then
 //                           halving: exit rate and exit time follow in

@@ -171,9 +171,11 @@ RunResult execute_run(const RunDescriptor& desc,
 
   const double t_end = spec->duration.sec();
   const double w0 = t_end / 2.0;
+  // Fairness: Jain over rate/oracle for the flows the oracle gives a
+  // positive share at the window start.
   const auto ideal = scenario::ideal_rates_at(*spec, sim::SimTime::seconds(w0));
   std::vector<double> rates;
-  std::vector<double> weights;
+  std::vector<double> ideals;
   res.avg_rate_pps.resize(spec->num_flows, 0.0);
   for (std::size_t i = 0; i < spec->num_flows; ++i) {
     const auto f = static_cast<net::FlowId>(i + 1);
@@ -184,17 +186,13 @@ RunResult execute_run(const RunDescriptor& desc,
                            ? fs.allotted_rate.average_over(w0, t_end)
                            : static_cast<double>(fs.delivered) / t_end;
     res.avg_rate_pps[i] = avg;
-    if (ideal.count(f) != 0 && ideal.at(f) > 0.0) {
+    const auto it = ideal.find(f);
+    if (it != ideal.end() && it->second > 0.0) {
       rates.push_back(avg);
-      weights.push_back(spec->weights[i]);
-    } else if (spec->generated.has_value()) {
-      // No closed-form water-filling oracle on generated graphs: score
-      // fairness over weight-normalized achieved rates instead.
-      rates.push_back(avg);
-      weights.push_back(fs.weight);
+      ideals.push_back(it->second);
     }
   }
-  res.jain = stats::jain_index(rates, weights);
+  res.jain = stats::jain_index(rates, ideals);
   res.events = r.events_processed;
   res.total_drops = r.total_data_drops;
   res.delivered = r.tracker.total_delivered();

@@ -97,7 +97,7 @@ struct RunResult {
   std::size_t index = 0;  ///< position in the descriptor list
   bool ok = false;
 
-  double jain = 0.0;                 ///< weighted Jain over [T/2, T]
+  double jain = 0.0;                 ///< Jain over rate/ideal_rates_at, [T/2, T]
   std::vector<double> avg_rate_pps;  ///< per flow, averaged over [T/2, T]
   std::uint64_t events = 0;
   std::uint64_t total_drops = 0;

@@ -1,6 +1,7 @@
 #include "scenario/config_script.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -28,10 +29,13 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
+/// A finite number and nothing else: strtod also accepts "nan" and
+/// "inf", which would slip through every range check below.  (A window's
+/// STOP token "inf" is matched before it gets here.)
 bool to_double(const std::string& s, double& out) {
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
+  return end != s.c_str() && *end == '\0' && std::isfinite(out);
 }
 
 bool to_size(const std::string& s, std::size_t& out) {

@@ -15,11 +15,16 @@
 //   - the telemetry surface (drop times, queue series, bottleneck drops,
 //     the instrument hook) covers the topology's designated bottleneck
 //     links.
+// ideal_rates_at builds the same fabric over drop-tail queues and solves
+// the water-filling oracle over the same per-flow constraint sets that
+// the fluid controller and the fairness auditor use.
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -35,6 +40,7 @@
 #include "qos/ecn.h"
 #include "qos/edge_router.h"
 #include "scenario/scenario.h"
+#include "sim/fluid/allocator.h"
 #include "sim/fluid/controller.h"
 #include "sim/fluid/warp.h"
 #include "sim/hotpath.h"
@@ -93,6 +99,108 @@ std::unique_ptr<net::PacketQueue> make_core_queue(CoreQueueKind kind,
       break;
   }
   return std::make_unique<net::DropTailQueue>(capacity);
+}
+
+/// The nodes of a built topology, and each core link's forward direction.
+struct Fabric {
+  std::vector<net::NodeId> routers;
+  std::vector<net::Link*> forward_of_link;  ///< topo.links[i] in its a -> b direction
+  std::vector<net::NodeId> src_node;        ///< one per entry of topo.sources
+  std::vector<net::NodeId> dst_node;        ///< one per entry of topo.sinks
+};
+
+/// Build `topo` into `network` and route it: routers (router i on LP
+/// lp_of_router[i], or 0 if empty), both directions of every core link
+/// with the queue make_queue(from) returns, then one attach node per
+/// source and sink entry on a drop-tail duplex access link.  Builds of
+/// one description create everything in the same order, so they route
+/// identically.
+template <typename MakeQueue>
+Fabric build_fabric(net::Network& network, const GeneratedTopology& topo,
+                    std::span<const std::uint32_t> lp_of_router, MakeQueue&& make_queue) {
+  Fabric fab;
+  fab.routers.reserve(topo.routers);
+  for (std::size_t i = 0; i < topo.routers; ++i) {
+    fab.routers.push_back(network.add_node("R" + std::to_string(i),
+                                           lp_of_router.empty() ? 0u : lp_of_router[i]));
+  }
+  auto connect_core = [&](net::NodeId from, net::NodeId to) -> net::Link& {
+    return network.connect_with_queue(from, to, topo.cfg.core_rate, topo.cfg.link_delay,
+                                      make_queue(from));
+  };
+  fab.forward_of_link.resize(topo.links.size(), nullptr);
+  for (std::size_t i = 0; i < topo.links.size(); ++i) {
+    const GenLink& l = topo.links[i];
+    fab.forward_of_link[i] = &connect_core(fab.routers[l.a], fab.routers[l.b]);
+    connect_core(fab.routers[l.b], fab.routers[l.a]);
+  }
+  fab.src_node.reserve(topo.sources.size());
+  for (std::uint32_t r : topo.sources) {
+    fab.src_node.push_back(network.add_node("S" + std::to_string(fab.src_node.size()),
+                                            network.lp_of(fab.routers[r])));
+    network.connect_duplex(fab.src_node.back(), fab.routers[r], topo.cfg.access_rate,
+                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
+  }
+  fab.dst_node.reserve(topo.sinks.size());
+  for (std::uint32_t r : topo.sinks) {
+    fab.dst_node.push_back(network.add_node("D" + std::to_string(fab.dst_node.size()),
+                                            network.lp_of(fab.routers[r])));
+    network.connect_duplex(fab.routers[r], fab.dst_node.back(), topo.cfg.access_rate,
+                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
+  }
+  network.build_routes();
+  return fab;
+}
+
+/// Per-flow constraint sets for the water-filling oracle: the links
+/// each flow's FIB path crosses, dense-indexed in the order first met,
+/// with capacities in pkt/s of the topology's packet size.
+struct ConstraintSets {
+  std::vector<double> caps;
+  std::vector<std::vector<std::uint32_t>> links;  ///< parallel to the flows
+};
+
+/// Walk every flow's path once.  Shared access links participate too —
+/// fat by construction, they never bind in the water-filling.  An access
+/// link that only one flow uses (the paper chain's per-flow attach
+/// nodes) is no fair-share constraint and no contended hop for the fluid
+/// agreement band, so it is left out.
+ConstraintSets constraint_sets(net::Network& network, const Fabric& fab,
+                               const GeneratedTopology& topo, const std::vector<GenFlow>& flows) {
+  ConstraintSets sets;
+  sets.links.resize(flows.size());
+  std::vector<std::uint32_t> src_flows(fab.src_node.size(), 0);
+  std::vector<std::uint32_t> dst_flows(fab.dst_node.size(), 0);
+  for (const GenFlow& f : flows) {
+    ++src_flows[f.src_attach];
+    ++dst_flows[f.dst_attach];
+  }
+  std::unordered_map<const net::Link*, std::uint32_t> link_index;
+  for (std::size_t fi = 0; fi < flows.size(); ++fi) {
+    const GenFlow& f = flows[fi];
+    const std::vector<net::NodeId> hops =
+        network.path(fab.src_node[f.src_attach], fab.dst_node[f.dst_attach]);
+    for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
+      const bool lone_access = (h == 0 && src_flows[f.src_attach] < 2) ||
+                               (h + 2 == hops.size() && dst_flows[f.dst_attach] < 2);
+      const net::Link* l = network.find_link(hops[h], hops[h + 1]);
+      if (l == nullptr || lone_access) continue;
+      auto [it, inserted] = link_index.emplace(l, static_cast<std::uint32_t>(sets.caps.size()));
+      if (inserted) sets.caps.push_back(l->rate().pps(topo.cfg.packet_size));
+      sets.links[fi].push_back(it->second);
+    }
+  }
+  return sets;
+}
+
+/// True iff a flow with these windows is active at t_sec (an empty list
+/// means always-on) — the auditor's activity rule.
+bool active_at(const std::vector<net::ActiveInterval>& windows, double t_sec) {
+  if (windows.empty()) return true;
+  for (const auto& iv : windows) {
+    if (t_sec >= iv.start.sec() && t_sec < iv.stop.sec()) return true;
+  }
+  return false;
 }
 
 ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& topo,
@@ -171,49 +279,18 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     weight_of = [w = std::move(w)](net::FlowId f) { return f < w.size() ? w[f] : 1.0; };
   }
 
-  // Routers, then the discipline-bearing core links (both directions).
-  std::vector<net::NodeId> routers;
-  routers.reserve(topo.routers);
-  for (std::size_t i = 0; i < topo.routers; ++i) {
-    routers.push_back(network.add_node("R" + std::to_string(i),
-                                       lp_mode ? plan.lp_of_node[i] : 0u));
-  }
-  auto connect_core = [&](net::NodeId from, net::NodeId to) -> net::Link& {
-    return network.connect_with_queue(
-        from, to, topo.cfg.core_rate, topo.cfg.link_delay,
-        make_core_queue(row.queue, spec.topology, topo.cfg.queue_capacity_packets,
-                        network.local_rng(from), weight_of));
-  };
-  std::vector<net::Link*> forward_of_link(topo.links.size(), nullptr);
-  for (std::size_t i = 0; i < topo.links.size(); ++i) {
-    const GenLink& l = topo.links[i];
-    forward_of_link[i] = &connect_core(routers[l.a], routers[l.b]);
-    connect_core(routers[l.b], routers[l.a]);
-  }
+  // Routers, the discipline-bearing core links (both directions), then
+  // the attach nodes: drop-tail access pipes, one per entry of
+  // topo.sources (hosting that entry's multi-flow edge) and topo.sinks.
+  std::span<const std::uint32_t> lp_of_router;  // empty: every router on LP 0
+  if (lp_mode) lp_of_router = plan.lp_of_node;
+  const Fabric fab = build_fabric(network, topo, lp_of_router, [&](net::NodeId from) {
+    return make_core_queue(row.queue, spec.topology, topo.cfg.queue_capacity_packets,
+                           network.local_rng(from), weight_of);
+  });
   std::vector<net::Link*> bottleneck_links;
   bottleneck_links.reserve(topo.bottlenecks.size());
-  for (std::size_t idx : topo.bottlenecks) bottleneck_links.push_back(forward_of_link.at(idx));
-
-  // Attach nodes, one per entry of topo.sources (hosting that entry's
-  // multi-flow edge) and of topo.sinks.  Access links are drop-tail
-  // pipes; the core links carry the disciplines.
-  std::vector<net::NodeId> src_node;
-  src_node.reserve(topo.sources.size());
-  for (std::uint32_t r : topo.sources) {
-    src_node.push_back(
-        network.add_node("S" + std::to_string(src_node.size()), network.lp_of(routers[r])));
-    network.connect_duplex(src_node.back(), routers[r], topo.cfg.access_rate,
-                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
-  }
-  std::vector<net::NodeId> dst_node;
-  dst_node.reserve(topo.sinks.size());
-  for (std::uint32_t r : topo.sinks) {
-    dst_node.push_back(
-        network.add_node("D" + std::to_string(dst_node.size()), network.lp_of(routers[r])));
-    network.connect_duplex(routers[r], dst_node.back(), topo.cfg.access_rate,
-                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
-  }
-  network.build_routes();
+  for (std::size_t idx : topo.bottlenecks) bottleneck_links.push_back(fab.forward_of_link.at(idx));
 
   ScenarioResult result;
   stats::FlowTracker& tracker = result.tracker;
@@ -255,7 +332,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   std::vector<std::unique_ptr<csfq::LossNotifyingCoreRouter>> loss_cores;
   auto wire_cores = [&](auto& cores, const auto&... cfg) {
     using Core = typename std::decay_t<decltype(cores)>::value_type::element_type;
-    for (net::NodeId r : routers) cores.push_back(std::make_unique<Core>(network, r, cfg...));
+    for (net::NodeId r : fab.routers) cores.push_back(std::make_unique<Core>(network, r, cfg...));
   };
   switch (row.core) {
     case CoreKind::Corelite: wire_cores(cl_cores, spec.corelite); break;
@@ -269,8 +346,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   auto flow_spec_of = [&](const GenFlow& f) {
     net::FlowSpec fs;
     fs.id = f.id;
-    fs.ingress = src_node[f.src_attach];
-    fs.egress = dst_node[f.dst_attach];
+    fs.ingress = fab.src_node[f.src_attach];
+    fs.egress = fab.dst_node[f.dst_attach];
     fs.weight = f.weight;
     fs.active = f.windows;
     const std::size_t i = f.id - 1;
@@ -280,7 +357,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   };
   auto wire_edges = [&](auto& edges, const auto& cfg) {
     using Edge = typename std::decay_t<decltype(edges)>::value_type::element_type;
-    for (net::NodeId n : src_node) {
+    for (net::NodeId n : fab.src_node) {
       edges.push_back(std::make_unique<Edge>(network, n, cfg, &tracker));
       if (warp) edges.back()->set_fluid_warp(warp.get());
     }
@@ -297,7 +374,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   // clock — the sink LP's simulator in LP mode (the single writer of
   // its flows' delivery counters), the one global simulator serially.
   std::vector<std::unique_ptr<qos::EcnEgressAgent>> ecn_agents;
-  for (net::NodeId n : dst_node) {
+  for (net::NodeId n : fab.dst_node) {
     qos::EcnEgressAgent* agent = nullptr;
     if (row.ecn_egress) {
       ecn_agents.push_back(std::make_unique<qos::EcnEgressAgent>(network, n));
@@ -312,38 +389,10 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   }
 
   // Per-flow constraint sets, shared by the fluid controller and the
-  // fairness auditor: walk the FIB path once per flow and dense-index
-  // every link encountered, with capacities in pkt/s of the topology's
-  // packet size.  Shared access links participate too — fat by
-  // construction, they never bind in the water-filling.  An access link
-  // that only one flow uses (the paper chain's per-flow attach nodes)
-  // is no fair-share constraint and no contended hop for the fluid
-  // agreement band, so it is left out.
-  std::vector<double> path_caps;
-  std::vector<std::vector<std::uint32_t>> flow_links(flows.size());
-  if (fluid_on || audit_on) {
-    std::vector<std::uint32_t> src_flows(src_node.size(), 0);
-    std::vector<std::uint32_t> dst_flows(dst_node.size(), 0);
-    for (const GenFlow& f : flows) {
-      ++src_flows[f.src_attach];
-      ++dst_flows[f.dst_attach];
-    }
-    std::unordered_map<const net::Link*, std::uint32_t> link_index;
-    for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      const GenFlow& f = flows[fi];
-      const std::vector<net::NodeId> hops =
-          network.path(src_node[f.src_attach], dst_node[f.dst_attach]);
-      for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
-        const bool lone_access = (h == 0 && src_flows[f.src_attach] < 2) ||
-                                 (h + 2 == hops.size() && dst_flows[f.dst_attach] < 2);
-        const net::Link* l = network.find_link(hops[h], hops[h + 1]);
-        if (l == nullptr || lone_access) continue;
-        auto [it, inserted] = link_index.emplace(l, static_cast<std::uint32_t>(path_caps.size()));
-        if (inserted) path_caps.push_back(l->rate().pps(topo.cfg.packet_size));
-        flow_links[fi].push_back(it->second);
-      }
-    }
-  }
+  // fairness auditor.  Only built when one of them runs: on a 100k-flow
+  // population they cost one vector per flow.
+  ConstraintSets sets;
+  if (fluid_on || audit_on) sets = constraint_sets(network, fab, topo, flows);
 
   // Fluid fast-forward controller: watches per-flow throughput EWMAs and,
   // once every flow sits inside the convergence band for the dwell
@@ -356,9 +405,9 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     fluid_cfg.synth_sample_period = spec.cumulative_sample_period;
     fluid_ctl = std::make_unique<sim::fluid::FluidController>(simulator, *warp, tracker,
                                                               fluid_cfg, spec.duration);
-    fluid_ctl->set_link_capacities(path_caps);
+    fluid_ctl->set_link_capacities(sets.caps);
     for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      fluid_ctl->add_flow(flows[fi].id, flows[fi].weight, flow_links[fi]);
+      fluid_ctl->add_flow(flows[fi].id, flows[fi].weight, sets.links[fi]);
     }
     if (spec.fluid_probe != nullptr) fluid_ctl->set_probe(spec.fluid_probe);
     fluid_ctl->start();
@@ -434,7 +483,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     std::vector<telemetry::FairnessAuditor::FlowInfo> audit_flows;
     audit_flows.reserve(flows.size());
     for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      audit_flows.push_back({flows[fi].id, flows[fi].weight, flow_links[fi]});
+      audit_flows.push_back({flows[fi].id, flows[fi].weight, sets.links[fi]});
     }
     // Activity oracle straight off the flows' windows (`flows` outlives
     // the run; ids are 1-based and unique by construction) — the same
@@ -444,14 +493,10 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
       if (f.id < act_of.size()) act_of[f.id] = &f.windows;
     }
     auto active_fn = [act_of = std::move(act_of)](net::FlowId id, double t_sec) {
-      if (id >= act_of.size() || act_of[id] == nullptr || act_of[id]->empty()) return true;
-      for (const auto& iv : *act_of[id]) {
-        if (t_sec >= iv.start.sec() && t_sec < iv.stop.sec()) return true;
-      }
-      return false;
+      return id >= act_of.size() || act_of[id] == nullptr || active_at(*act_of[id], t_sec);
     };
     auditor = std::make_unique<telemetry::FairnessAuditor>(
-        audit_cfg, tracker, path_caps, std::move(audit_flows), std::move(active_fn));
+        audit_cfg, tracker, sets.caps, std::move(audit_flows), std::move(active_fn));
     for (std::size_t i = 0; i < bottleneck_links.size(); ++i) {
       net::Link* l = bottleneck_links[i];
       if (l == nullptr) continue;
@@ -464,7 +509,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
       const GenLink& gl = topo.links[topo.bottlenecks[i]];
       const csfq::CsfqCoreRouter* core = csfq_cores[gl.a].get();
       auditor->add_gauge("csfq.alpha.bottleneck" + std::to_string(i),
-                         [core, to = routers[gl.b]]() -> double {
+                         [core, to = fab.routers[gl.b]]() -> double {
                            const auto* pol = core->policy_for(to);
                            return pol != nullptr ? pol->alpha() : 0.0;
                          });
@@ -512,7 +557,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     result.audit_report = std::make_unique<telemetry::FairnessAuditReport>(auditor->take_report());
   }
   result.unrouteable = network.unrouteable_count();
-  for (net::NodeId r : routers) {
+  for (net::NodeId r : fab.routers) {
     std::size_t state = 0;
     for (net::Link* l : network.node(r).out_links()) {
       state += l->queue().flow_state_entries();
@@ -534,7 +579,7 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   for (std::size_t i = 0; i < bottleneck_links.size() && !cl_cores.empty(); ++i) {
     const GenLink& gl = topo.links[topo.bottlenecks[i]];
     for (const auto& d : cl_cores[gl.a]->diagnostics()) {
-      if (d.link_to == routers[gl.b] && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
+      if (d.link_to == fab.routers[gl.b] && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
         result.mean_q_avg.push_back(d.q_avg_series->average_over(0.0, spec.duration.sec()));
       }
     }
@@ -565,9 +610,12 @@ std::vector<GenFlow> paper_flows(const ScenarioSpec& spec, const GeneratedTopolo
   return flows;
 }
 
-}  // namespace
-
-ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
+/// Call f(topology, flows, record_series) with the network description
+/// and flow population `spec` runs: the generated topology and a
+/// population generated from spec.seed, or the paper chain and the
+/// spec's own flows.
+template <typename F>
+decltype(auto) with_population(const ScenarioSpec& spec, F&& f) {
   if (spec.generated.has_value()) {
     const GeneratedWorkload& wl = *spec.generated;
     assert(spec.num_flows == wl.flows.num_flows &&
@@ -575,13 +623,51 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
     // The population is a pure function of (topology, config, duration,
     // seed): sweep workers regenerate it independently and still land on
     // bit-identical run digests.
-    return run_topology(spec, wl.topology,
-                        generate_flows(wl.topology, wl.flows, spec.duration.sec(), spec.seed),
-                        wl.flows.record_series);
+    return f(wl.topology, generate_flows(wl.topology, wl.flows, spec.duration.sec(), spec.seed),
+             wl.flows.record_series);
   }
   assert(spec.weights.size() == spec.num_flows && "one weight per flow required");
   const GeneratedTopology chain = make_paper_chain(spec.topology, spec.num_flows);
-  return run_topology(spec, chain, paper_flows(spec, chain), /*record_series=*/true);
+  return f(chain, paper_flows(spec, chain), /*record_series=*/true);
+}
+
+}  // namespace
+
+ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
+  return with_population(spec, [&spec](const GeneratedTopology& topo,
+                                        const std::vector<GenFlow>& flows, bool record_series) {
+    return run_topology(spec, topo, flows, record_series);
+  });
+}
+
+std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec, sim::SimTime t) {
+  return with_population(spec, [&spec, t](const GeneratedTopology& topo,
+                                          const std::vector<GenFlow>& flows, bool) {
+    // The runner's fabric over drop-tail queues: same nodes, same order,
+    // so the same routes and constraint sets the run itself audits.
+    sim::Simulator simulator;
+    net::Network network{simulator};
+    const Fabric fab = build_fabric(network, topo, {}, [&topo](net::NodeId) {
+      return std::make_unique<net::DropTailQueue>(topo.cfg.queue_capacity_packets);
+    });
+    ConstraintSets sets = constraint_sets(network, fab, topo, flows);
+    std::vector<net::FlowId> ids;
+    std::vector<sim::fluid::AllocFlow> active;
+    for (std::size_t fi = 0; fi < flows.size(); ++fi) {
+      const GenFlow& f = flows[fi];
+      if (!active_at(f.windows, t.sec())) continue;
+      const std::size_t i = f.id - 1;
+      const double min_rate = i < spec.min_rates.size() ? spec.min_rates[i] : 0.0;
+      ids.push_back(f.id);
+      active.push_back({f.weight, std::numeric_limits<double>::infinity(),
+                        std::move(sets.links[fi]), min_rate});
+    }
+    const std::vector<double> rates = sim::fluid::water_fill(sets.caps, active);
+    std::unordered_map<net::FlowId, double> ideal;
+    ideal.reserve(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) ideal.emplace(ids[i], rates[i]);
+    return ideal;
+  });
 }
 
 }  // namespace corelite::scenario

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "sim/random.h"
-#include "stats/fairness.h"
 
 namespace corelite::scenario {
 
@@ -119,33 +118,6 @@ std::optional<ScenarioSpec> scenario_by_name(const std::string& name, Mechanism 
   if (name == "fig7") return fig7_staggered_start(m);
   if (name == "fig9") return fig9_churn(m);
   return generated_scenario_from_name(name, m);
-}
-
-std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec, sim::SimTime t) {
-  // The water-filling oracle models the paper's fixed three-link chain;
-  // generated topologies have no closed-form here (the sweep falls back
-  // to weight-normalized delivered throughput for them).
-  if (spec.generated.has_value()) return {};
-  const double cap = spec.topology.link_rate.pps(spec.topology.packet_size);
-  std::vector<double> caps(PaperTopology::kCongestedLinks, cap);
-  std::vector<stats::MaxMinFlow> flows;
-  for (std::size_t i = 0; i < spec.num_flows; ++i) {
-    const auto id = static_cast<net::FlowId>(i + 1);
-    // Activity check: empty activity list means always-on.
-    bool active = true;
-    if (i < spec.activity.size() && !spec.activity[i].empty()) {
-      active = false;
-      for (const auto& iv : spec.activity[i]) {
-        if (t >= iv.start && t < iv.stop) {
-          active = true;
-          break;
-        }
-      }
-    }
-    if (!active) continue;
-    flows.push_back({id, spec.weights.at(i), PaperTopology::congested_links(id)});
-  }
-  return stats::weighted_max_min(caps, flows);
 }
 
 // --------------------------------------------------------------------------

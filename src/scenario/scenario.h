@@ -229,8 +229,11 @@ struct ScenarioResult {
 /// edge router per source attach node, one sink per sink attach node.
 [[nodiscard]] ScenarioResult run_paper_scenario(const ScenarioSpec& spec);
 
-/// Weighted max-min fair rates (pkt/s) for the flows active at time t,
-/// computed by the water-filling oracle on the three congested links.
+/// Weighted max-min fair rates (pkt/s) for the flows active at time t:
+/// sim::fluid::water_fill over the links each flow's route crosses in
+/// the network run_paper_scenario builds for `spec` (paper chain or
+/// generated topology), with spec.min_rates as minimum-rate contracts.
+/// Inactive flows are absent from the map.
 [[nodiscard]] std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec,
                                                                      sim::SimTime t);
 

@@ -1,5 +1,6 @@
 #include "sim/fluid/allocator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -23,17 +24,26 @@ std::vector<double> water_fill(const std::vector<double>& link_capacities,
                                const std::vector<AllocFlow>& flows) {
   const std::size_t n = flows.size();
   const std::size_t m = link_capacities.size();
+  // Each flow is granted min(min_rate, demand) up front; the loop below
+  // fills `rate` with its share of the excess, and `excess` is the
+  // demand left above the grant.
   std::vector<double> rate(n, 0.0);
+  std::vector<double> excess(n, 0.0);
   std::vector<char> frozen(n, 0);
   std::vector<double> rem = link_capacities;
   std::vector<double> wsum(m, 0.0);
 
-  for (const AllocFlow& f : flows) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const AllocFlow& f = flows[i];
     assert(f.weight > 0.0 && "water_fill: weights must be positive");
     assert(f.demand >= 0.0 && "water_fill: demands must be non-negative");
+    assert(f.min_rate >= 0.0 && "water_fill: minimum rates must be non-negative");
+    const double granted = std::min(f.min_rate, f.demand);
+    excess[i] = f.demand - granted;
     for (std::uint32_t l : f.links) {
       assert(l < m && "water_fill: link index out of range");
       wsum[l] += f.weight;
+      rem[l] -= granted;
     }
   }
 
@@ -50,7 +60,7 @@ std::vector<double> water_fill(const std::vector<double>& link_capacities,
     }
     double demand_level = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
-      if (!frozen[i]) demand_level = std::min(demand_level, flows[i].demand / flows[i].weight);
+      if (!frozen[i]) demand_level = std::min(demand_level, excess[i] / flows[i].weight);
     }
 
     if (demand_level <= link_level) {
@@ -58,14 +68,14 @@ std::vector<double> water_fill(const std::vector<double>& link_capacities,
         // No binding link and unbounded demand: the remaining flows are
         // unconstrained.  Hand back their (infinite) demands verbatim.
         for (std::size_t i = 0; i < n; ++i) {
-          if (!frozen[i]) rate[i] = flows[i].demand;
+          if (!frozen[i]) rate[i] = excess[i];
         }
         break;
       }
       const double thr = freeze_threshold(demand_level);
       for (std::size_t i = 0; i < n; ++i) {
-        if (frozen[i] || flows[i].demand / flows[i].weight > thr) continue;
-        rate[i] = flows[i].demand;
+        if (frozen[i] || excess[i] / flows[i].weight > thr) continue;
+        rate[i] = excess[i];
         frozen[i] = 1;
         --left;
         for (std::uint32_t l : flows[i].links) {
@@ -94,6 +104,7 @@ std::vector<double> water_fill(const std::vector<double>& link_capacities,
       }
     }
   }
+  for (std::size_t i = 0; i < n; ++i) rate[i] += std::min(flows[i].min_rate, flows[i].demand);
   return rate;
 }
 

@@ -1,9 +1,7 @@
 #include "stats/fairness.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
+#include <vector>
 
 namespace corelite::stats {
 
@@ -28,75 +26,6 @@ double jain_index(std::span<const double> rates, std::span<const double> weights
     normalized[i] = rates[i] / weights[i];
   }
   return jain_index(normalized);
-}
-
-std::unordered_map<net::FlowId, double> weighted_max_min(
-    const std::vector<double>& link_capacities, const std::vector<MaxMinFlow>& flows) {
-  std::vector<double> remaining = link_capacities;
-  std::vector<bool> frozen(flows.size(), false);
-  std::unordered_map<net::FlowId, double> alloc;
-  alloc.reserve(flows.size());
-
-  // Flows that traverse no link are unconstrained; report infinity is
-  // unhelpful for callers, so freeze them at 0 by convention.
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (flows[f].links.empty()) {
-      frozen[f] = true;
-      alloc[flows[f].id] = 0.0;
-    }
-  }
-
-  for (;;) {
-    // Per-link sum of unfrozen weights.
-    std::vector<double> live_weight(link_capacities.size(), 0.0);
-    bool any_unfrozen = false;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (frozen[f]) continue;
-      any_unfrozen = true;
-      for (std::size_t l : flows[f].links) {
-        assert(l < live_weight.size());
-        live_weight[l] += flows[f].weight;
-      }
-    }
-    if (!any_unfrozen) break;
-
-    // Most constrained link: smallest remaining capacity per unit weight.
-    double best_share = std::numeric_limits<double>::infinity();
-    std::size_t best_link = link_capacities.size();
-    for (std::size_t l = 0; l < link_capacities.size(); ++l) {
-      if (live_weight[l] <= 0.0) continue;
-      const double share = std::max(0.0, remaining[l]) / live_weight[l];
-      if (share < best_share - 1e-12) {
-        best_share = share;
-        best_link = l;
-      }
-    }
-    if (best_link == link_capacities.size()) {
-      // No unfrozen flow crosses any link with live weight — should be
-      // unreachable given the loop guard, but freeze defensively at 0.
-      for (std::size_t f = 0; f < flows.size(); ++f) {
-        if (!frozen[f]) {
-          frozen[f] = true;
-          alloc[flows[f].id] = 0.0;
-        }
-      }
-      break;
-    }
-
-    // Freeze every unfrozen flow crossing the bottleneck.
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (frozen[f]) continue;
-      if (std::find(flows[f].links.begin(), flows[f].links.end(), best_link) ==
-          flows[f].links.end()) {
-        continue;
-      }
-      const double rate = flows[f].weight * best_share;
-      frozen[f] = true;
-      alloc[flows[f].id] = rate;
-      for (std::size_t l : flows[f].links) remaining[l] -= rate;
-    }
-  }
-  return alloc;
 }
 
 }  // namespace corelite::stats

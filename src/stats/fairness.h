@@ -1,18 +1,11 @@
-// Fairness metrics and the weighted max-min reference allocator.
+// Jain's fairness index.
 //
-// The water-filling allocator is the oracle for every "expected rate"
-// the paper quotes (33.33 / 25 pkt/s per unit weight, etc.): given link
-// capacities and each flow's weight + path, it computes the exact
-// weighted max-min fair allocation that Corelite is supposed to
-// converge to.
+// The weighted max-min allocation that rates are scored against comes
+// from the one water-filling oracle, sim::fluid::water_fill
+// (sim/fluid/allocator.h); scenario::ideal_rates_at runs it for a spec.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <unordered_map>
-#include <vector>
-
-#include "net/types.h"
 
 namespace corelite::stats {
 
@@ -22,25 +15,5 @@ namespace corelite::stats {
 
 /// Convenience overload normalizing rates by weights first.
 [[nodiscard]] double jain_index(std::span<const double> rates, std::span<const double> weights);
-
-/// A flow as seen by the reference allocator: its weight and the indices
-/// (into the capacity vector) of the links it traverses.
-struct MaxMinFlow {
-  net::FlowId id = net::kInvalidFlow;
-  double weight = 1.0;
-  std::vector<std::size_t> links;
-};
-
-/// Weighted max-min fair allocation by progressive water-filling.
-///
-/// Repeatedly finds the most constrained link (smallest remaining
-/// capacity per unit of unfrozen weight), freezes every unfrozen flow
-/// crossing it at `weight x share`, and subtracts the frozen bandwidth
-/// from every link those flows traverse.  O(iterations x links x flows),
-/// exact for the small topologies used here.
-///
-/// Returns flow id -> allocated rate, in the same capacity units given.
-[[nodiscard]] std::unordered_map<net::FlowId, double> weighted_max_min(
-    const std::vector<double>& link_capacities, const std::vector<MaxMinFlow>& flows);
 
 }  // namespace corelite::stats

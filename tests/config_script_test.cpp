@@ -91,6 +91,24 @@ TEST(ConfigScript, RejectsBadValues) {
   EXPECT_FALSE(parse("link A A 4 5 40\n", &err).has_value());
   EXPECT_FALSE(parse("mechanism magic\n", &err).has_value());
   EXPECT_FALSE(parse("link A B 4 5 40\nflow 1 A B weight 1 window 5 3\n", &err).has_value());
+  // Non-finite numbers are rejected everywhere; "inf" is only a window STOP.
+  const std::string ok_link = "link A B 4 5 40\n";
+  const std::string ok_flow = "flow 1 A B weight 1\n";
+  for (const char* bad : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    const std::string v = bad;
+    for (const std::string& script :
+         {"duration " + v + "\n" + ok_link + ok_flow,
+          "class gold " + v + "\n" + ok_link + "flow 1 A B class gold\n",
+          "class gold 2 " + v + "\n" + ok_link + "flow 1 A B class gold\n",
+          ok_link + "flow 1 A B weight " + v + "\n",
+          ok_link + "flow 1 A B weight 1 min " + v + "\n",
+          "link A B " + v + " 5 40\n" + ok_flow,
+          "link A B 4 " + v + " 40\n" + ok_flow,
+          ok_link + "flow 1 A B weight 1 window " + v + " inf\n"}) {
+      EXPECT_FALSE(parse(script, &err).has_value()) << script;
+    }
+  }
+  EXPECT_TRUE(parse(ok_link + "flow 1 A B weight 1 window 2 inf\n", &err).has_value()) << err;
 }
 
 TEST(ConfigScript, RequiresLinksAndFlows) {

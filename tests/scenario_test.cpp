@@ -1,6 +1,7 @@
 // Tests for the paper-chain description and scenario factories: path
 // assignment, round-trip times, the ideal-rate oracle reproducing the
-// paper's §4.1 arithmetic, and spec construction.
+// paper's §4.1 arithmetic and agreeing with the congested-link chain
+// reference, and spec construction.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,6 +10,7 @@
 #include "net/network.h"
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
+#include "sim/fluid/allocator.h"
 
 namespace corelite::scenario {
 namespace {
@@ -170,6 +172,58 @@ TEST(IdealRates, MatchesPaperExpectations) {
   const auto late = ideal_rates_at(spec, sim::SimTime::seconds(600));
   EXPECT_EQ(late.count(16), 0u);
   EXPECT_NEAR(late.at(20), 66.67, 0.01);
+}
+
+TEST(IdealRates, EqualsWaterFillOverTheCongestedLinks) {
+  // PaperTopology::congested_links is the chain's independent reference:
+  // ideal_rates_at walks the runner's routes instead and must land on
+  // the same allocation, flow set included.
+  const PaperTopologyConfig cfg;
+  const std::vector<double> caps(PaperTopology::kCongestedLinks,
+                                 cfg.link_rate.pps(cfg.packet_size));
+  for (const char* name : {"fig3", "fig5", "fig7", "fig9"}) {
+    const ScenarioSpec spec = *scenario_by_name(name, Mechanism::Corelite);
+    for (double t : {0.5, 4.5, 30.0, 62.5, 100.0, 300.0, 600.0}) {
+      std::vector<net::FlowId> ids;
+      std::vector<sim::fluid::AllocFlow> flows;
+      for (std::size_t i = 0; i < spec.num_flows; ++i) {
+        bool active = i >= spec.activity.size() || spec.activity[i].empty();
+        for (std::size_t k = 0; !active && k < spec.activity[i].size(); ++k) {
+          active = t >= spec.activity[i][k].start.sec() && t < spec.activity[i][k].stop.sec();
+        }
+        if (!active) continue;
+        const auto id = static_cast<net::FlowId>(i + 1);
+        sim::fluid::AllocFlow f;
+        f.weight = spec.weights[i];
+        for (std::size_t l : PaperTopology::congested_links(id)) {
+          f.links.push_back(static_cast<std::uint32_t>(l));
+        }
+        ids.push_back(id);
+        flows.push_back(std::move(f));
+      }
+      const std::vector<double> want = sim::fluid::water_fill(caps, flows);
+      const auto got = ideal_rates_at(spec, sim::SimTime::seconds(t));
+      ASSERT_EQ(got.size(), ids.size()) << name << " t=" << t;
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        ASSERT_EQ(got.count(ids[k]), 1u) << name << " t=" << t << " flow " << ids[k];
+        EXPECT_NEAR(got.at(ids[k]), want[k], 1e-9 * want[k])
+            << name << " t=" << t << " flow " << ids[k];
+      }
+    }
+  }
+}
+
+TEST(IdealRates, MinimumRateContractsComeFirst) {
+  // Every fig5 flow crosses C1-C2 (total weight 30).  Flow 1's 120 pkt/s
+  // contract comes off the top; the other 380 pkt/s split by weight.
+  auto spec = fig5_simultaneous_start(Mechanism::Corelite);
+  spec.min_rates.assign(spec.num_flows, 0.0);
+  spec.min_rates[0] = 120.0;
+  const auto ideal = ideal_rates_at(spec, sim::SimTime::seconds(40));
+  const double share = 380.0 / 30.0;
+  EXPECT_NEAR(ideal.at(1), 120.0 + share, 1e-9);
+  EXPECT_NEAR(ideal.at(2), share, 1e-9);
+  EXPECT_NEAR(ideal.at(10), 5.0 * share, 1e-9);
 }
 
 TEST(ScenarioRun, SmallRunProducesSaneAccounting) {

@@ -1,6 +1,5 @@
 // Unit tests for the stats module: time series semantics, Jain index,
-// the weighted max-min water-filling oracle (including the paper's own
-// expected numbers), flow tracking and CSV emission.
+// flow tracking and CSV emission.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -105,106 +104,6 @@ TEST(Fairness, JainEmptyAndZeroInputs) {
   EXPECT_DOUBLE_EQ(jain_index(std::vector<double>{}), 1.0);
   const std::vector<double> zeros{0.0, 0.0};
   EXPECT_DOUBLE_EQ(jain_index(zeros), 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Weighted max-min water-filling
-
-TEST(MaxMin, SingleLinkEqualWeights) {
-  const auto alloc = weighted_max_min({90.0}, {{1, 1.0, {0}}, {2, 1.0, {0}}, {3, 1.0, {0}}});
-  EXPECT_DOUBLE_EQ(alloc.at(1), 30.0);
-  EXPECT_DOUBLE_EQ(alloc.at(2), 30.0);
-  EXPECT_DOUBLE_EQ(alloc.at(3), 30.0);
-}
-
-TEST(MaxMin, SingleLinkWeighted) {
-  const auto alloc = weighted_max_min({120.0}, {{1, 1.0, {0}}, {2, 2.0, {0}}, {3, 3.0, {0}}});
-  EXPECT_DOUBLE_EQ(alloc.at(1), 20.0);
-  EXPECT_DOUBLE_EQ(alloc.at(2), 40.0);
-  EXPECT_DOUBLE_EQ(alloc.at(3), 60.0);
-}
-
-TEST(MaxMin, BottleneckedFlowFreesOtherLink) {
-  // Flow 1 crosses both links; flow 2 only link 0; flow 3 only link 1.
-  // Link 0 cap 10, link 1 cap 100: flow 1 and 2 split link 0 (5 each),
-  // flow 3 then takes the rest of link 1 (95).
-  const auto alloc =
-      weighted_max_min({10.0, 100.0}, {{1, 1.0, {0, 1}}, {2, 1.0, {0}}, {3, 1.0, {1}}});
-  EXPECT_DOUBLE_EQ(alloc.at(1), 5.0);
-  EXPECT_DOUBLE_EQ(alloc.at(2), 5.0);
-  EXPECT_DOUBLE_EQ(alloc.at(3), 95.0);
-}
-
-TEST(MaxMin, PaperExpectedValuesAllTwentyFlows) {
-  // The paper's §4.1 calculation: with all 20 flows active every congested link
-  // carries weight 20, so the share is 500/20 = 25 pkt/s per unit weight.
-  std::vector<MaxMinFlow> flows;
-  auto weight_of = [](std::size_t f) {
-    if (f == 5 || f == 15) return 3.0;
-    if (f == 1 || f == 11 || f == 16) return 1.0;
-    return 2.0;
-  };
-  auto links_of = [](std::size_t f) -> std::vector<std::size_t> {
-    if (f <= 5) return {0};
-    if (f <= 8) return {0, 1};
-    if (f <= 10) return {0, 1, 2};
-    if (f <= 12) return {1};
-    if (f <= 15) return {1, 2};
-    return {2};
-  };
-  for (std::size_t f = 1; f <= 20; ++f) {
-    flows.push_back({static_cast<net::FlowId>(f), weight_of(f), links_of(f)});
-  }
-  const auto alloc = weighted_max_min({500.0, 500.0, 500.0}, flows);
-  EXPECT_NEAR(alloc.at(5), 75.0, 1e-9);   // weight 3
-  EXPECT_NEAR(alloc.at(15), 75.0, 1e-9);
-  EXPECT_NEAR(alloc.at(1), 25.0, 1e-9);   // weight 1
-  EXPECT_NEAR(alloc.at(11), 25.0, 1e-9);
-  EXPECT_NEAR(alloc.at(16), 25.0, 1e-9);
-  EXPECT_NEAR(alloc.at(2), 50.0, 1e-9);   // weight 2
-  EXPECT_NEAR(alloc.at(9), 50.0, 1e-9);   // three congested links, same share
-}
-
-TEST(MaxMin, PaperExpectedValuesFifteenFlows) {
-  // Without flows 1, 9, 10, 11, 16 each link carries weight 15:
-  // 500/15 = 33.33 pkt/s per unit weight.
-  std::vector<MaxMinFlow> flows;
-  auto weight_of = [](std::size_t f) {
-    if (f == 5 || f == 15) return 3.0;
-    return 2.0;
-  };
-  auto links_of = [](std::size_t f) -> std::vector<std::size_t> {
-    if (f <= 5) return {0};
-    if (f <= 8) return {0, 1};
-    if (f <= 12) return {1};
-    if (f <= 15) return {1, 2};
-    return {2};
-  };
-  for (std::size_t f : {2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 17, 18, 19, 20}) {
-    flows.push_back({static_cast<net::FlowId>(f), weight_of(f), links_of(f)});
-  }
-  const auto alloc = weighted_max_min({500.0, 500.0, 500.0}, flows);
-  EXPECT_NEAR(alloc.at(5), 100.0, 1e-9);   // 33.33 * 3 (paper prints 99.99)
-  EXPECT_NEAR(alloc.at(15), 100.0, 1e-9);
-  EXPECT_NEAR(alloc.at(2), 500.0 * 2 / 15, 1e-9);  // 66.66
-  EXPECT_NEAR(alloc.at(20), 500.0 * 2 / 15, 1e-9);
-}
-
-TEST(MaxMin, ConservationNeverExceedsCapacity) {
-  const std::vector<double> caps{100.0, 60.0};
-  const std::vector<MaxMinFlow> flows{
-      {1, 1.0, {0}}, {2, 2.0, {0, 1}}, {3, 1.5, {1}}, {4, 0.5, {0, 1}}};
-  const auto alloc = weighted_max_min(caps, flows);
-  double link0 = alloc.at(1) + alloc.at(2) + alloc.at(4);
-  double link1 = alloc.at(2) + alloc.at(3) + alloc.at(4);
-  EXPECT_LE(link0, caps[0] + 1e-9);
-  EXPECT_LE(link1, caps[1] + 1e-9);
-}
-
-TEST(MaxMin, FlowWithNoLinksGetsZero) {
-  const auto alloc = weighted_max_min({10.0}, {{1, 1.0, {}}, {2, 1.0, {0}}});
-  EXPECT_DOUBLE_EQ(alloc.at(1), 0.0);
-  EXPECT_DOUBLE_EQ(alloc.at(2), 10.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -278,9 +279,74 @@ TEST(GeneratedRunner, InstrumentHookSeesBottleneckLinks) {
   EXPECT_EQ(seen, spec.generated->topology.bottlenecks.size());
 }
 
-TEST(GeneratedRunner, IdealRatesOracleDeclinesGeneratedGraphs) {
-  const auto spec = small_gen_spec(sc::Mechanism::Corelite);
-  EXPECT_TRUE(sc::ideal_rates_at(spec, corelite::sim::SimTime::seconds(4)).empty());
+TEST(GeneratedRunner, IdealRatesMatchTheAuditedFairShare) {
+  // ideal_rates_at solves generated graphs over the runner's own
+  // constraint sets: at an audit window's midpoint it must equal the
+  // auditor's uncapped fair share for every flow.
+  for (const char* name : {"gen-pl4-40-steady", "gen-ft4-40-steady", "gen-isp16-40-steady"}) {
+    auto spec = sc::scenario_by_name(name, sc::Mechanism::Corelite);
+    ASSERT_TRUE(spec.has_value()) << name;
+    spec->duration = corelite::sim::SimTime::seconds(8);
+    spec->audit.enabled = true;
+    spec->audit.window = corelite::sim::TimeDelta::seconds(1);
+    spec->audit.max_flows_recorded = spec->num_flows;
+    const auto r = sc::run_paper_scenario(*spec);
+    ASSERT_NE(r.audit_report, nullptr) << name;
+    // Arrivals end at 5% of the run; take the first window after 2 s.
+    const auto& windows = r.audit_report->windows;
+    const auto w = std::find_if(windows.begin(), windows.end(),
+                                [](const auto& win) { return win.t0_sec >= 2.0; });
+    ASSERT_NE(w, windows.end()) << name;
+    ASSERT_EQ(w->flows.size(), spec->num_flows) << name;
+    EXPECT_EQ(w->active_flows, spec->num_flows) << name;  // steady: nobody leaves
+    const double t_mid = 0.5 * (w->t0_sec + w->t1_sec);
+    const auto ideal = sc::ideal_rates_at(*spec, corelite::sim::SimTime::seconds(t_mid));
+    ASSERT_FALSE(ideal.empty()) << name;
+    for (const auto& s : w->flows) {
+      const auto it = ideal.find(s.id);
+      if (!s.active) {
+        EXPECT_EQ(it, ideal.end()) << name << " flow " << s.id;
+        continue;
+      }
+      ASSERT_NE(it, ideal.end()) << name << " flow " << s.id;
+      EXPECT_TRUE(std::isfinite(it->second)) << name << " flow " << s.id;
+      EXPECT_GT(it->second, 0.0) << name << " flow " << s.id;
+      EXPECT_NEAR(it->second, s.fair_share_pps, 1e-9 * s.fair_share_pps)
+          << name << " flow " << s.id;
+    }
+
+    // Feasible on every cut the flows' paths must cross: each shared
+    // access link, and the core links out of (into) each router.
+    const sc::GeneratedTopology& topo = spec->generated->topology;
+    const auto flows =
+        sc::generate_flows(topo, spec->generated->flows, spec->duration.sec(), spec->seed);
+    const double core = topo.capacity_pps();
+    const double access = topo.cfg.access_rate.pps(topo.cfg.packet_size);
+    std::vector<double> degree(topo.routers, 0.0);
+    for (const auto& l : topo.links) {
+      degree[l.a] += 1.0;
+      degree[l.b] += 1.0;
+    }
+    std::vector<double> src_load(topo.sources.size(), 0.0);
+    std::vector<double> dst_load(topo.sinks.size(), 0.0);
+    std::vector<double> out_load(topo.routers, 0.0);
+    std::vector<double> in_load(topo.routers, 0.0);
+    for (const auto& f : flows) {
+      const auto it = ideal.find(f.id);
+      if (it == ideal.end()) continue;
+      src_load[f.src_attach] += it->second;
+      dst_load[f.dst_attach] += it->second;
+      out_load[f.src_router] += it->second;
+      in_load[f.dst_router] += it->second;
+    }
+    const double slack = 1.0 + 1e-9;
+    for (double v : src_load) EXPECT_LE(v, access * slack) << name;
+    for (double v : dst_load) EXPECT_LE(v, access * slack) << name;
+    for (std::size_t rt = 0; rt < topo.routers; ++rt) {
+      EXPECT_LE(out_load[rt], degree[rt] * core * slack) << name << " router " << rt;
+      EXPECT_LE(in_load[rt], degree[rt] * core * slack) << name << " router " << rt;
+    }
+  }
 }
 
 TEST(GeneratedRunner, SweepExecuteRunScoresGeneratedCells) {

@@ -505,7 +505,7 @@ int main(int argc, char** argv) {
     std::printf("%-6s %-7s %-9s %-9s %-9s %-9s\n", "flow", "weight", "ideal", "avg",
                 "delivered", "dropped");
     std::vector<double> rates;
-    std::vector<double> weights;
+    std::vector<double> ideals;
     for (std::size_t i = 1; i <= spec->num_flows; ++i) {
       const auto f = static_cast<corelite::net::FlowId>(i);
       const auto& fs = result.tracker.series(f);
@@ -515,17 +515,18 @@ int main(int argc, char** argv) {
       const double got = !fs.allotted_rate.points().empty()
                              ? fs.allotted_rate.average_over(w0, t_end)
                              : static_cast<double>(fs.delivered) / t_end;
-      const double want = ideal.count(f) != 0 ? ideal.at(f) : 0.0;
+      const auto it = ideal.find(f);
+      const double want = it != ideal.end() ? it->second : 0.0;
       std::printf("%-6zu %-7.1f %-9.2f %-9.2f %-9llu %-9llu\n", i, w, want,
                   got, static_cast<unsigned long long>(fs.delivered),
                   static_cast<unsigned long long>(fs.dropped));
-      if (want > 0.0 || spec->generated.has_value()) {
+      if (want > 0.0) {
         rates.push_back(got);
-        weights.push_back(w);
+        ideals.push_back(want);
       }
     }
     std::printf("\nweighted Jain index [%g, %g]: %.4f\n", w0, t_end,
-                corelite::stats::jain_index(rates, weights));
+                corelite::stats::jain_index(rates, ideals));
     std::printf("data drops: %llu   feedback: %llu   events: %llu\n",
                 static_cast<unsigned long long>(result.total_data_drops),
                 static_cast<unsigned long long>(result.feedback_messages),
