@@ -16,7 +16,6 @@
 
 #include "scenario/scenario.h"
 #include "stats/csv_writer.h"
-#include "stats/fairness.h"
 #include "stats/summary.h"
 
 namespace corelite::benchutil {
@@ -58,39 +57,28 @@ inline void print_cumulative_table(const scenario::ScenarioSpec& spec,
   }
 }
 
-/// Earliest time after which the flow's 2 s rate averages stay within
-/// 30% (+3 pkt/s) of `ideal` until `t_end`.  Returns t_end if never.
-inline double convergence_time(const stats::FlowSeries& fs, double ideal, double t_end) {
-  return stats::convergence_time(fs.allotted_rate, ideal, t_end);
-}
-
 /// Ideal-vs-measured summary over [w0, w1] plus loss/fairness roll-up.
 inline void print_summary(const char* title, const scenario::ScenarioSpec& spec,
                           const scenario::ScenarioResult& r, double w0, double w1,
                           double ideal_probe_t) {
-  const auto ideal =
-      scenario::ideal_rates_at(spec, sim::SimTime::seconds(ideal_probe_t));
+  const auto score =
+      scenario::steady_state_score(spec, r, w0, w1, sim::SimTime::seconds(ideal_probe_t));
   std::printf("\n%s — steady-state summary over [%.0f, %.0f] s\n", title, w0, w1);
   std::printf("%-6s %-7s %-9s %-9s %-7s %-10s\n", "flow", "weight", "ideal", "measured",
               "dev%", "converged");
-  std::vector<double> rates;
-  std::vector<double> weights;
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
-    const auto f = static_cast<net::FlowId>(i);
-    const auto& fs = r.tracker.series(f);
-    const double got = fs.allotted_rate.average_over(w0, w1);
-    const double want = ideal.count(f) != 0 ? ideal.at(f) : 0.0;
+    const double got = score.avg_rate[i - 1];
+    const double want = score.ideal[i - 1];
     const double dev = want > 0.0 ? 100.0 * (got - want) / want : 0.0;
-    const double conv = want > 0.0 ? convergence_time(fs, want, w1) : 0.0;
+    const double conv =
+        want > 0.0
+            ? stats::convergence_time(
+                  r.tracker.series(static_cast<net::FlowId>(i)).allotted_rate, want, w1)
+            : 0.0;
     std::printf("%-6zu %-7.0f %-9.2f %-9.2f %+-7.1f t=%-.0fs\n", i, spec.weights[i - 1], want,
                 got, dev, conv);
-    if (want > 0.0) {
-      rates.push_back(got);
-      weights.push_back(spec.weights[i - 1]);
-    }
   }
-  std::printf("weighted Jain index (steady state): %.4f\n",
-              stats::jain_index(rates, weights));
+  std::printf("weighted Jain index (steady state): %.4f\n", score.jain);
   std::printf("data drops: %llu total, %llu on congested links",
               static_cast<unsigned long long>(r.total_data_drops),
               static_cast<unsigned long long>(r.congested_link_drops));

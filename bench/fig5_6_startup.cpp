@@ -30,7 +30,8 @@ double run_one(const char* figure, sc::Mechanism m) {
   double latest = 0.0;
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
     const auto f = static_cast<corelite::net::FlowId>(i);
-    latest = std::max(latest, bu::convergence_time(r.tracker.series(f), ideal.at(f), 78.0));
+    latest = std::max(latest, corelite::stats::convergence_time(
+                                  r.tracker.series(f).allotted_rate, ideal.at(f), 78.0));
   }
   std::printf("convergence (all flows within 30%% of ideal): t=%.0f s\n", latest);
   return latest;

@@ -10,9 +10,11 @@
 #
 # JOBS controls parallelism (default: nproc).  Bench binaries that
 # understand the sweep runner (scale_flows, sweep_harness) get it as
-# --jobs; the remaining single-run benches are launched JOBS at a time.
-# Every bench is a self-contained deterministic process, so outputs are
-# identical at any JOBS value.
+# --jobs; the remaining benches are launched JOBS at a time.  `ablations`
+# runs with no argument, so ablations.txt holds every entry of the
+# ablation table (EXPERIMENTS.md's ablation sections).  Every bench is a
+# self-contained deterministic process, so outputs are identical at any
+# JOBS value.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"

@@ -72,6 +72,23 @@ std::optional<std::vector<double>> parse_weight_list(const std::string& text) {
   return weights;
 }
 
+namespace {
+
+/// --name must be finite and >= 0, or > 0 when `positive`.
+bool in_range(const ArgParser& parser, const char* name, bool positive, std::ostream& err) {
+  const double v = parser.get_double(name);
+  if (std::isfinite(v) && v >= 0.0 && !(positive && v == 0.0)) return true;
+  err << "--" << name << (positive ? " must be > 0, got " : " must be >= 0, got ") << v << "\n";
+  return false;
+}
+
+/// Options spec_from_args applies that a sweep's grid cells do not carry.
+constexpr const char* kSingleRunOnly[] = {
+    "selector", "detector", "adaptation",    "pacing",     "epoch-ms",   "k1",
+    "qthresh",  "kcubic",   "link-delay-ms", "fluid-band", "fluid-dwell"};
+
+}  // namespace
+
 std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
                                                      std::ostream& err) {
   const std::string& mech_name = parser.get_string("mechanism");
@@ -184,15 +201,10 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
   // needs K1 > 0, and release builds compile out CongestionEstimator's
   // assert on q_thresh, k_cubic >= 0.  A duration of 0 means the
   // scenario default.
-  // (name, must be > 0 rather than >= 0)
   for (const auto& [name, positive] :
        {std::pair{"epoch-ms", true}, std::pair{"link-delay-ms", false}, std::pair{"k1", true},
         std::pair{"qthresh", false}, std::pair{"kcubic", false}, std::pair{"duration", false}}) {
-    const double v = parser.get_double(name);
-    if (!std::isfinite(v) || v < 0.0 || (positive && v == 0.0)) {
-      err << "--" << name << (positive ? " must be > 0, got " : " must be >= 0, got ") << v << "\n";
-      return std::nullopt;
-    }
+    if (!in_range(parser, name, positive, err)) return std::nullopt;
   }
   const double epoch_ms = parser.get_double("epoch-ms");
   const double delay_ms = parser.get_double("link-delay-ms");
@@ -205,6 +217,16 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     spec.generated->topology.cfg.link_delay = sim::TimeDelta::millis(delay_ms);
   }
   return spec;
+}
+
+bool sweep_args_valid(const ArgParser& parser, std::ostream& err) {
+  bool ok = true;
+  for (const char* name : kSingleRunOnly) {
+    if (!parser.was_set(name)) continue;
+    err << "--" << name << " is a single-run option; --sweep does not apply it\n";
+    ok = false;
+  }
+  return in_range(parser, "duration", false, err) && ok;
 }
 
 std::optional<double> audit_band_from_args(const ArgParser& parser, std::ostream& err) {

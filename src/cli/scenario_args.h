@@ -19,6 +19,12 @@ void register_scenario_options(ArgParser& parser);
 [[nodiscard]] std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
                                                                    std::ostream& err);
 
+/// Sweep mode builds every run's spec from its grid cell, so the
+/// per-run knobs spec_from_args applies would be silently dropped.
+/// Writes one diagnostic to `err` per such option that is set, and one
+/// for a negative --duration; false if it wrote any.
+[[nodiscard]] bool sweep_args_valid(const ArgParser& parser, std::ostream& err);
+
 /// Reads --audit-band (registered by corelite_sim with the --audit
 /// family); nullopt and a diagnostic on `err` unless it is > 0.
 [[nodiscard]] std::optional<double> audit_band_from_args(const ArgParser& parser,

@@ -8,7 +8,7 @@
 // BOTH.  A flow occupying a fraction p of the buffer suffers matches at
 // rate ~p, so heavy flows police themselves.  Included as a baseline so
 // the marker-feedback approach can be compared against stateless AQM
-// (bench/ablation_selector).
+// (`bench/ablations selector`).
 //
 // Implemented on a RED base (as in the paper): below min_thresh accept,
 // between the thresholds run the CHOKe match then RED's probabilistic

@@ -3,7 +3,7 @@
 // DropTailQueue is the discipline used by every experiment in the paper
 // (ns-2 default).  RedQueue implements classic RED (Floyd & Jacobson 93),
 // which the paper discusses as related work; it serves as an extra
-// baseline in the ablation benches.
+// baseline in the ablation table (bench/ablations).
 //
 // Queue capacity counts DATA packets only.  Control packets (markers,
 // feedback, loss notices) are zero-size piggybacked headers: they are

@@ -39,7 +39,7 @@ enum class AdaptKind {
 /// The paper's experiments use constant-bit-rate shaping; the other
 /// modes exercise the §3.1 claim that the F_n computation "works
 /// reasonably well even if the Poisson traffic assumptions do not hold"
-/// (see bench/ablation_traffic).
+/// (see `bench/ablations traffic`).
 enum class PacingMode {
   Paced,    ///< constant inter-packet gap 1/b_g (paper default)
   Poisson,  ///< exponential gaps with mean 1/b_g
@@ -90,7 +90,7 @@ struct CoreliteConfig {
   /// dimensionally consistent reading; see congestion_estimator.h).
   /// Under the literal reading the M/M/1 term is an order of magnitude
   /// too weak, which is exactly the regime where the cubic term is
-  /// load-bearing; bench/ablation_kcubic exercises both.
+  /// load-bearing; `bench/ablations kcubic kcubic_literal` exercises both.
   bool legacy_per_epoch_mu = false;
 
   /// Congestion-estimation module (paper default: per-epoch averaging).
@@ -105,7 +105,7 @@ struct CoreliteConfig {
   /// Per-epoch EWMA gain for the running average r_av of marker labels
   /// (§3.2).  r_av averages the *epoch means* of labels so its window is
   /// independent of marker load; 0.1 gives roughly a 1 s window at
-  /// 100 ms epochs.  See bench/ablation_rav for the sensitivity sweep.
+  /// 100 ms epochs.  See `bench/ablations rav` for the sensitivity sweep.
   double rav_gain = 0.1;
   /// EWMA gain for the running average w_av of markers per epoch (§3.2).
   double wav_gain = 0.25;

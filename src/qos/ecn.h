@@ -20,7 +20,8 @@
 // flow's PACKET rate b_g, not its normalized rate b_g/w, so the LIMD
 // decrease is multiplicative in b_g and the system converges to EQUAL
 // rates — rate weights are ignored.  Corelite's contribution is exactly
-// the normalization this scheme lacks (bench/ablation_ecn).
+// the normalization this scheme lacks (the ecnbit row of
+// `bench/ablations selector`).
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,7 @@
 //
 //   Mimd — multiplicative increase & decrease.  Does NOT converge to
 //     fairness (Chiu & Jain); provided as the negative control for
-//     bench/ablation_adaptation.
+//     `bench/ablations adaptation`.
 //
 // All policies share the slow-start behaviour of the paper's source
 // agents: double once per second until the first congestion

@@ -11,7 +11,6 @@
 
 #include "runner/thread_pool.h"
 #include "sim/hotpath.h"
-#include "stats/fairness.h"
 
 namespace corelite::runner {
 
@@ -171,28 +170,9 @@ RunResult execute_run(const RunDescriptor& desc,
 
   const double t_end = spec->duration.sec();
   const double w0 = t_end / 2.0;
-  // Fairness: Jain over rate/oracle for the flows the oracle gives a
-  // positive share at the window start.
-  const auto ideal = scenario::ideal_rates_at(*spec, sim::SimTime::seconds(w0));
-  std::vector<double> rates;
-  std::vector<double> ideals;
-  res.avg_rate_pps.resize(spec->num_flows, 0.0);
-  for (std::size_t i = 0; i < spec->num_flows; ++i) {
-    const auto f = static_cast<net::FlowId>(i + 1);
-    const auto& fs = r.tracker.series(f);
-    // Counters-only runs (100k-flow populations) have no rate series;
-    // delivered throughput stands in for the steady-state average.
-    const double avg = !fs.allotted_rate.points().empty()
-                           ? fs.allotted_rate.average_over(w0, t_end)
-                           : static_cast<double>(fs.delivered) / t_end;
-    res.avg_rate_pps[i] = avg;
-    const auto it = ideal.find(f);
-    if (it != ideal.end() && it->second > 0.0) {
-      rates.push_back(avg);
-      ideals.push_back(it->second);
-    }
-  }
-  res.jain = stats::jain_index(rates, ideals);
+  auto score = scenario::steady_state_score(*spec, r, w0, t_end, sim::SimTime::seconds(w0));
+  res.avg_rate_pps = std::move(score.avg_rate);
+  res.jain = score.jain;
   res.events = r.events_processed;
   res.total_drops = r.total_data_drops;
   res.delivered = r.tracker.total_delivered();

@@ -47,6 +47,7 @@
 #include "sim/parallel/lp_partition.h"
 #include "sim/parallel/lp_runtime.h"
 #include "sim/simulator.h"
+#include "stats/fairness.h"
 #include "telemetry/metrics.h"
 
 namespace corelite::scenario {
@@ -668,6 +669,32 @@ std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec,
     for (std::size_t i = 0; i < ids.size(); ++i) ideal.emplace(ids[i], rates[i]);
     return ideal;
   });
+}
+
+SteadyStateScore steady_state_score(const ScenarioSpec& spec, const ScenarioResult& r, double w0,
+                                    double w1, sim::SimTime probe) {
+  const auto oracle = ideal_rates_at(spec, probe);
+  const double t_end = spec.duration.sec();
+  SteadyStateScore score;
+  score.avg_rate.resize(spec.num_flows, 0.0);
+  score.ideal.resize(spec.num_flows, 0.0);
+  std::vector<double> rates;
+  std::vector<double> ideals;
+  for (std::size_t i = 0; i < spec.num_flows; ++i) {
+    const auto f = static_cast<net::FlowId>(i + 1);
+    const auto& fs = r.tracker.series(f);
+    score.avg_rate[i] = !fs.allotted_rate.points().empty()
+                            ? fs.allotted_rate.average_over(w0, w1)
+                            : static_cast<double>(fs.delivered) / t_end;
+    const auto it = oracle.find(f);
+    if (it != oracle.end()) score.ideal[i] = it->second;
+    if (score.ideal[i] > 0.0) {
+      rates.push_back(score.avg_rate[i]);
+      ideals.push_back(score.ideal[i]);
+    }
+  }
+  score.jain = stats::jain_index(rates, ideals);
+  return score;
 }
 
 }  // namespace corelite::scenario

@@ -237,6 +237,24 @@ struct ScenarioResult {
 [[nodiscard]] std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec,
                                                                      sim::SimTime t);
 
+/// A run's steady-state fairness against the oracle.
+struct SteadyStateScore {
+  /// avg_rate[i]: flow i+1's mean allotted rate (pkt/s) over the window;
+  /// delivered / duration for counters-only runs, which keep no series.
+  std::vector<double> avg_rate;
+  /// ideal[i]: flow i+1's ideal_rates_at(probe) rate, 0 if inactive then.
+  std::vector<double> ideal;
+  /// Jain over avg_rate / ideal for the flows with ideal > 0.
+  double jain = 1.0;
+};
+
+/// Scores `r` (a run of `spec`) over [w0, w1] s against the oracle at
+/// `probe`.  Every steady-state Jain the tools and benches print is
+/// this one.
+[[nodiscard]] SteadyStateScore steady_state_score(const ScenarioSpec& spec,
+                                                  const ScenarioResult& r, double w0, double w1,
+                                                  sim::SimTime probe);
+
 // --------------------------------------------------------------------------
 // The paper's scenarios.
 

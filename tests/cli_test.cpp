@@ -314,6 +314,47 @@ TEST(ScenarioArgs, RejectsNegativeDuration) {
   EXPECT_EQ(spec->duration.sec(), 80.0);  // fig5's default
 }
 
+/// Parses `args` and runs the sweep-mode check; its diagnostics land in `err`.
+bool sweep_ok(std::vector<const char*> args, std::ostream& err) {
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  EXPECT_TRUE(parse(p, std::move(args), err));
+  return sweep_args_valid(p, err);
+}
+
+// A sweep builds each run's spec from its grid cell; a per-run knob on
+// the command line used to be dropped without a word.
+TEST(ScenarioArgs, SweepRefusesEverySingleRunOption) {
+  const std::vector<std::pair<const char*, const char*>> options = {
+      {"--selector", "cache"},  {"--detector", "ewma"}, {"--adaptation", "aimd"},
+      {"--pacing", "onoff"},    {"--epoch-ms", "400"},  {"--k1", "8"},
+      {"--qthresh", "4"},       {"--kcubic", "0.2"},    {"--link-delay-ms", "10"},
+      {"--fluid-band", "0.2"},  {"--fluid-dwell", "3"}};
+  for (const auto& [name, value] : options) {
+    std::ostringstream err;
+    EXPECT_FALSE(sweep_ok({name, value}, err)) << name;
+    EXPECT_NE(err.str().find(std::string(name) + " is a single-run option"), std::string::npos)
+        << err.str();
+  }
+  // Every offending option is named, not just the first.
+  std::ostringstream err;
+  EXPECT_FALSE(sweep_ok({"--k1", "8", "--pacing", "onoff"}, err));
+  EXPECT_NE(err.str().find("--k1"), std::string::npos);
+  EXPECT_NE(err.str().find("--pacing"), std::string::npos);
+}
+
+TEST(ScenarioArgs, SweepKeepsItsOwnOptionsAndChecksDuration) {
+  std::ostringstream ok_err;
+  EXPECT_TRUE(sweep_ok({"--scenario", "fig3", "--mechanism", "csfq", "--weights", "1,2",
+                        "--seed", "3", "--lp", "2", "--fluid", "--duration", "10"},
+                       ok_err))
+      << ok_err.str();
+  EXPECT_EQ(ok_err.str(), "");
+  std::ostringstream err;
+  EXPECT_FALSE(sweep_ok({"--duration", "-5"}, err));
+  EXPECT_NE(err.str().find("--duration must be >= 0, got -5"), std::string::npos) << err.str();
+}
+
 TEST(ScenarioArgs, RejectsNonPositiveAuditBand) {
   // corelite_sim registers --audit-band with the rest of the --audit family.
   const auto band_of = [](const char* value, std::ostream& err) {

@@ -1,7 +1,7 @@
 // Tests for the paper-chain description and scenario factories: path
 // assignment, round-trip times, the ideal-rate oracle reproducing the
 // paper's §4.1 arithmetic and agreeing with the congested-link chain
-// reference, and spec construction.
+// reference, the steady-state score built on it, and spec construction.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,6 +11,7 @@
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
 #include "sim/fluid/allocator.h"
+#include "stats/fairness.h"
 
 namespace corelite::scenario {
 namespace {
@@ -224,6 +225,73 @@ TEST(IdealRates, MinimumRateContractsComeFirst) {
   EXPECT_NEAR(ideal.at(1), 120.0 + share, 1e-9);
   EXPECT_NEAR(ideal.at(2), share, 1e-9);
   EXPECT_NEAR(ideal.at(10), 5.0 * share, 1e-9);
+}
+
+// fig3 at 100 s, before the five late flows arrive.  Every active flow
+// runs at exactly twice its ideal and the late ones at arbitrary rates,
+// so Jain is 1 only if the late ones are left out.
+TEST(SteadyStateScore, FlowsInactiveAtTheProbeAreNotScored) {
+  const auto spec = fig3_network_dynamics(Mechanism::Corelite);
+  const auto probe = sim::SimTime::seconds(100);
+  const auto oracle = ideal_rates_at(spec, probe);
+  ScenarioResult r;
+  for (std::size_t i = 1; i <= spec.num_flows; ++i) {
+    const auto f = static_cast<net::FlowId>(i);
+    r.tracker.declare_flow(f, spec.weights[i - 1]);
+    const double rate = oracle.count(f) != 0 ? 2.0 * oracle.at(f) : 37.0 * static_cast<double>(i);
+    r.tracker.record_rate(f, sim::SimTime::zero(), rate);
+  }
+  const auto score = steady_state_score(spec, r, 100.0, 240.0, probe);
+  ASSERT_EQ(score.ideal.size(), spec.num_flows);
+  ASSERT_EQ(score.avg_rate.size(), spec.num_flows);
+  std::size_t scored = 0;
+  for (std::size_t i = 1; i <= spec.num_flows; ++i) {
+    const bool late = i == 1 || i == 9 || i == 10 || i == 11 || i == 16;
+    if (late) {
+      EXPECT_EQ(score.ideal[i - 1], 0.0) << "flow " << i;
+      // Measured all the same, just not scored.
+      EXPECT_DOUBLE_EQ(score.avg_rate[i - 1], 37.0 * static_cast<double>(i)) << "flow " << i;
+    } else {
+      EXPECT_GT(score.ideal[i - 1], 0.0) << "flow " << i;
+      EXPECT_DOUBLE_EQ(score.avg_rate[i - 1], 2.0 * score.ideal[i - 1]) << "flow " << i;
+      ++scored;
+    }
+  }
+  EXPECT_EQ(scored, 15u);
+  EXPECT_NEAR(score.jain, 1.0, 1e-12);
+}
+
+// Counters-only runs (bench-scale populations) keep no rate series; the
+// score falls back to delivered / duration for them.
+TEST(SteadyStateScore, CountersOnlyRunsScoreDeliveredOverTheDuration) {
+  const auto spec = *scenario_by_name("gen-pl4-40", Mechanism::Corelite);
+  const double t_end = spec.duration.sec();
+  const auto probe = sim::SimTime::seconds(t_end / 2.0);
+  const auto oracle = ideal_rates_at(spec, probe);
+  ASSERT_FALSE(oracle.empty());
+  ScenarioResult r;
+  r.tracker.set_series_enabled(false);
+  for (std::size_t i = 1; i <= spec.num_flows; ++i) {
+    const auto f = static_cast<net::FlowId>(i);
+    r.tracker.declare_flow(f, 1.0);
+    r.tracker.record_rate(f, sim::SimTime::zero(), 999.0);  // not stored: series are off
+    r.tracker.add_synthesized(f, 100 * i, 100 * i, 0);
+  }
+  const auto score = steady_state_score(spec, r, t_end / 2.0, t_end, probe);
+  std::vector<double> rates;
+  std::vector<double> ideals;
+  for (std::size_t i = 1; i <= spec.num_flows; ++i) {
+    const auto it = oracle.find(static_cast<net::FlowId>(i));
+    EXPECT_DOUBLE_EQ(score.avg_rate[i - 1], 100.0 * static_cast<double>(i) / t_end) << i;
+    EXPECT_EQ(score.ideal[i - 1], it != oracle.end() ? it->second : 0.0) << i;
+    if (score.ideal[i - 1] > 0.0) {
+      rates.push_back(score.avg_rate[i - 1]);
+      ideals.push_back(score.ideal[i - 1]);
+    }
+  }
+  ASSERT_FALSE(rates.empty());
+  EXPECT_EQ(score.jain, stats::jain_index(rates, ideals));
+  EXPECT_LT(score.jain, 1.0);
 }
 
 TEST(ScenarioRun, SmallRunProducesSaneAccounting) {

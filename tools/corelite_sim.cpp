@@ -29,7 +29,6 @@
 #include "stats/aggregate.h"
 #include "stats/csv_writer.h"
 #include "stats/json_writer.h"
-#include "stats/fairness.h"
 #include "telemetry/engine_probe.h"
 #include "telemetry/harness.h"
 #include "telemetry/metrics.h"
@@ -206,6 +205,7 @@ void print_hotpath_profile() {
 
 // Sweep mode: seed × scenario × mechanism grid on a worker pool.
 int run_sweep(const corelite::cli::ArgParser& parser) {
+  if (!corelite::cli::sweep_args_valid(parser, std::cerr)) return 2;
   rn::SweepGrid grid;
   grid.repeats = static_cast<std::size_t>(parser.get_int("sweep"));
   grid.base_seed = static_cast<std::uint64_t>(parser.get_int("seed"));
@@ -501,32 +501,20 @@ int main(int argc, char** argv) {
   const double w0 = t_end / 2.0;
 
   if (!parser.get_flag("quiet")) {
-    const auto ideal = sc::ideal_rates_at(*spec, corelite::sim::SimTime::seconds(w0));
+    const auto score =
+        sc::steady_state_score(*spec, result, w0, t_end, corelite::sim::SimTime::seconds(w0));
     std::printf("%-6s %-7s %-9s %-9s %-9s %-9s\n", "flow", "weight", "ideal", "avg",
                 "delivered", "dropped");
-    std::vector<double> rates;
-    std::vector<double> ideals;
     for (std::size_t i = 1; i <= spec->num_flows; ++i) {
-      const auto f = static_cast<corelite::net::FlowId>(i);
-      const auto& fs = result.tracker.series(f);
+      const auto& fs = result.tracker.series(static_cast<corelite::net::FlowId>(i));
       // Generated specs carry no weights list (the population owns the
-      // weights) and may run counters-only; read both from the tracker.
+      // weights); read them from the tracker.
       const double w = i <= spec->weights.size() ? spec->weights[i - 1] : fs.weight;
-      const double got = !fs.allotted_rate.points().empty()
-                             ? fs.allotted_rate.average_over(w0, t_end)
-                             : static_cast<double>(fs.delivered) / t_end;
-      const auto it = ideal.find(f);
-      const double want = it != ideal.end() ? it->second : 0.0;
-      std::printf("%-6zu %-7.1f %-9.2f %-9.2f %-9llu %-9llu\n", i, w, want,
-                  got, static_cast<unsigned long long>(fs.delivered),
+      std::printf("%-6zu %-7.1f %-9.2f %-9.2f %-9llu %-9llu\n", i, w, score.ideal[i - 1],
+                  score.avg_rate[i - 1], static_cast<unsigned long long>(fs.delivered),
                   static_cast<unsigned long long>(fs.dropped));
-      if (want > 0.0) {
-        rates.push_back(got);
-        ideals.push_back(want);
-      }
     }
-    std::printf("\nweighted Jain index [%g, %g]: %.4f\n", w0, t_end,
-                corelite::stats::jain_index(rates, ideals));
+    std::printf("\nweighted Jain index [%g, %g]: %.4f\n", w0, t_end, score.jain);
     std::printf("data drops: %llu   feedback: %llu   events: %llu\n",
                 static_cast<unsigned long long>(result.total_data_drops),
                 static_cast<unsigned long long>(result.feedback_messages),
