@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "scenario/config_script.h"
 
 namespace corelite::cli {
 
@@ -15,6 +18,9 @@ void register_scenario_options(ArgParser& parser) {
                     "fig7 (staggered), fig9 (churn); or a generated workload "
                     "gen-{pl<stages>|ft<k>|isp<routers>}-<flows>, e.g. gen-pl8-1000 "
                     "(append -steady for a churn-free steady-state population)");
+  parser.add_string("config", "",
+                    "run the scenario script in this file instead of --scenario (see "
+                    "examples/scripts); --mechanism, --duration and --seed override its lines");
   parser.add_string("mechanism", "corelite",
                     "in-network mechanism: " + scenario::mechanism_names());
   parser.add_string("selector", "stateless",
@@ -84,8 +90,8 @@ bool in_range(const ArgParser& parser, const char* name, bool positive, std::ost
 
 /// Options spec_from_args applies that a sweep's grid cells do not carry.
 constexpr const char* kSingleRunOnly[] = {
-    "selector", "detector", "adaptation",    "pacing",     "epoch-ms",   "k1",
-    "qthresh",  "kcubic",   "link-delay-ms", "fluid-band", "fluid-dwell"};
+    "config", "selector", "detector",      "adaptation", "pacing",     "epoch-ms",
+    "k1",     "qthresh",  "kcubic",        "link-delay-ms", "fluid-band", "fluid-dwell"};
 
 }  // namespace
 
@@ -98,12 +104,29 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     return std::nullopt;
   }
 
-  const std::string& scen = parser.get_string("scenario");
-  auto maybe_spec = scenario::scenario_by_name(scen, *mech);
-  if (!maybe_spec.has_value()) {
-    err << "unknown scenario '" << scen << "'\n";
-    return std::nullopt;
+  // A script is the other scenario source; its mechanism, duration and
+  // seed lines hold unless the options are set.
+  const bool script = parser.was_set("config");
+  std::optional<scenario::ScenarioSpec> maybe_spec;
+  if (script) {
+    for (const char* name : {"scenario", "weights"}) {
+      if (parser.was_set(name)) {
+        err << "--" << name << " cannot be combined with --config\n";
+        return std::nullopt;
+      }
+    }
+    std::ifstream in{parser.get_string("config")};
+    if (!in) {
+      err << "cannot open " << parser.get_string("config") << "\n";
+      return std::nullopt;
+    }
+    maybe_spec = scenario::parse_scenario_script(in, err);
+    if (maybe_spec.has_value() && parser.was_set("mechanism")) maybe_spec->mechanism = *mech;
+  } else {
+    maybe_spec = scenario::scenario_by_name(parser.get_string("scenario"), *mech);
+    if (!maybe_spec.has_value()) err << "unknown scenario '" << parser.get_string("scenario") << "'\n";
   }
+  if (!maybe_spec.has_value()) return std::nullopt;
   scenario::ScenarioSpec spec = std::move(*maybe_spec);
 
   const std::string& sel = parser.get_string("selector");
@@ -176,7 +199,9 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
   if (parser.get_double("duration") > 0.0) {
     spec.duration = sim::SimTime::seconds(parser.get_double("duration"));
   }
-  spec.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  if (!script || parser.was_set("seed")) {
+    spec.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  }
   spec.lp = static_cast<std::size_t>(std::max<std::int64_t>(1, parser.get_int("lp")));
   spec.lp_threads = static_cast<std::size_t>(std::max<std::int64_t>(0, parser.get_int("lp-threads")));
   spec.fluid.enabled = parser.get_flag("fluid");
@@ -214,7 +239,7 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
   spec.corelite.k_cubic = parser.get_double("kcubic");
   spec.topology.link_delay = sim::TimeDelta::millis(delay_ms);
   if (spec.generated.has_value() && parser.was_set("link-delay-ms")) {
-    spec.generated->topology.cfg.link_delay = sim::TimeDelta::millis(delay_ms);
+    spec.generated->topology.set_link_delay(sim::TimeDelta::millis(delay_ms));
   }
   return spec;
 }

@@ -13,9 +13,11 @@ namespace corelite::cli {
 /// Registers every scenario-related option on `parser`.
 void register_scenario_options(ArgParser& parser);
 
-/// Builds the spec described by the parsed options.  On error (unknown
-/// scenario/mechanism name, malformed weights list) writes a diagnostic
-/// to `err` and returns nullopt.
+/// Builds the spec described by the parsed options: the named --scenario,
+/// or the script --config names (with --mechanism, --duration and --seed
+/// overriding its lines when set).  On error (unknown scenario/mechanism
+/// name, malformed weights list, a bad script, --config with --scenario
+/// or --weights) writes a diagnostic to `err` and returns nullopt.
 [[nodiscard]] std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
                                                                    std::ostream& err);
 

@@ -3,93 +3,57 @@
 // The paper's experiments were driven by ns simulation scripts; this
 // module provides the equivalent for the reproduction: a small
 // line-oriented language describing a topology, the QoS mechanism and
-// the flow population, runnable from `corelite_sim --config FILE`
-// without recompiling.
+// the flow population.  A parsed script is an ordinary ScenarioSpec —
+// its graph a GeneratedTopology with a fixed flow list — so it runs
+// through run_paper_scenario like any other spec, under every mechanism
+// and engine mode (`corelite_sim --config FILE`).
 //
 // Grammar (one command per line, '#' starts a comment):
 //
-//   mechanism corelite|csfq         # default corelite
+//   mechanism NAME                  # corelite (default), csfq, droptail, red,
+//                                   # fred, wfq, ecnbit, choke or sfq
 //   duration SECONDS                # default 80
 //   seed N                          # default 1
 //   class NAME WEIGHT [MINRATE]     # administrative rate class (§2.1)
 //   node NAME                       # optional; nodes auto-create on use
 //   link A B MBPS DELAY_MS QUEUE [simplex]    # default duplex
-//   core NAME                       # run core-router machinery on NAME
-//   edge NAME                       # run edge-router machinery on NAME
+//   core NAME                       # NAME is a router
+//   edge NAME                       # NAME is a source attach node (edge router)
 //   flow ID INGRESS EGRESS weight W [min PPS] [window START STOP]...
 //   flow ID INGRESS EGRESS class NAME [window START STOP]...
 //
-// Flow ids are positive integers; INGRESS must be declared `edge`.
-// `window` intervals are in seconds ("inf" allowed for STOP); a flow
-// without windows runs for the whole simulation.
+// Node rules; a script outside them is rejected with a message naming
+// the node or flow:
+//   - an `edge` node has exactly one link, to a router; every flow's
+//     INGRESS is one;
+//   - a flow's EGRESS is a leaf node (one link, to a router) declared
+//     neither `edge` nor `core`; it becomes a sink attach node;
+//   - every other node is a router and must be declared `core`;
+//   - the routers are connected, and every flow has a route from its
+//     INGRESS to its EGRESS (a `simplex` link runs from A to B only).
+// Every router-router link is a designated bottleneck (queue series,
+// drop times, audit gauges); attach links are drop-tail.
+//
+// Flow ids are unique and exactly 1..N, in any order.  `window`
+// intervals are in seconds ("inf" allowed for STOP); a flow without
+// windows runs for the whole simulation.  A class MINRATE or a flow's
+// `min` is its minimum-rate contract (ScenarioSpec::min_rates).
 //
 // See examples/scripts/ for complete scenario files.
 #pragma once
 
-#include <cstdint>
 #include <istream>
-#include <map>
 #include <optional>
 #include <ostream>
-#include <string>
-#include <vector>
 
-#include "csfq/config.h"
-#include "net/flow.h"
-#include "qos/config.h"
-#include "qos/rate_classes.h"
-#include "stats/flow_tracker.h"
+#include "scenario/scenario.h"
 
 namespace corelite::scenario {
 
-struct ScriptLink {
-  std::string a;
-  std::string b;
-  double mbps = 4.0;
-  double delay_ms = 40.0;
-  std::size_t queue = 40;
-  bool duplex = true;
-};
-
-struct ScriptFlow {
-  net::FlowId id = net::kInvalidFlow;
-  std::string ingress;
-  std::string egress;
-  double weight = 1.0;
-  double min_rate_pps = 0.0;
-  std::vector<net::ActiveInterval> windows;  // empty = always on
-};
-
-struct ScriptScenario {
-  std::string mechanism = "corelite";
-  double duration_sec = 80.0;
-  std::uint64_t seed = 1;
-  qos::RateClassRegistry classes;
-  std::vector<std::string> nodes;   // declared or referenced, in order
-  std::vector<ScriptLink> links;
-  std::vector<std::string> cores;
-  std::vector<std::string> edges;
-  std::vector<ScriptFlow> flows;
-  qos::CoreliteConfig corelite;
-  csfq::CsfqConfig csfq;
-};
-
-/// Parse a scenario script.  On error, writes "line N: message" to
-/// `err` and returns nullopt.
-[[nodiscard]] std::optional<ScriptScenario> parse_scenario_script(std::istream& in,
-                                                                  std::ostream& err);
-
-struct ScriptRunResult {
-  stats::FlowTracker tracker;
-  std::uint64_t events_processed = 0;
-  std::uint64_t data_drops = 0;
-  std::uint64_t unrouteable = 0;
-};
-
-/// Build the network described by the script, run it, collect series.
-/// Validation failures (unknown nodes, flows from non-edge nodes, ...)
-/// are reported via `err` and nullopt.
-[[nodiscard]] std::optional<ScriptRunResult> run_script_scenario(const ScriptScenario& s,
-                                                                 std::ostream& err);
+/// Parse a scenario script into a spec.  On error, writes a diagnostic
+/// ("line N: ..." for a bad line, or one naming the offending node or
+/// flow) to `err` and returns nullopt.
+[[nodiscard]] std::optional<ScenarioSpec> parse_scenario_script(std::istream& in,
+                                                                std::ostream& err);
 
 }  // namespace corelite::scenario

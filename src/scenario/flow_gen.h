@@ -78,12 +78,17 @@ struct GenFlow {
 /// FNV-1a over the full population — determinism witness for goldens.
 [[nodiscard]] std::uint64_t flows_digest(const std::vector<GenFlow>& flows);
 
-/// A generated workload: topology family instance + flow population
-/// parameters.  Carried inside ScenarioSpec (see scenario.h); the flow
-/// population itself is regenerated at run time from the run's seed.
+/// A workload on a topology description, carried inside ScenarioSpec
+/// (see scenario.h): a generator family instance whose flow population
+/// is regenerated at run time from the run's seed, or a scenario
+/// script's graph with its fixed flow list.
 struct GeneratedWorkload {
   GeneratedTopology topology;
   FlowGenConfig flows;
+  /// The population as given (ids 1..N in order); when non-empty the run
+  /// uses it instead of generating one, and `flows` only contributes
+  /// num_flows (== N) and record_series.
+  std::vector<GenFlow> fixed_flows;
 };
 
 }  // namespace corelite::scenario

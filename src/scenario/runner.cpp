@@ -4,11 +4,12 @@
 // Paper specs run the Figure-2 chain (make_paper_chain: the 3-stage
 // parking lot with one attach node per flow) with flows taken from the
 // spec; generated specs run their topology with a population generated
-// from the run seed.  Both are built the same way:
-//   - routers, with the mechanism's queue discipline on BOTH directions
-//     of every router-router link;
+// from the run seed, or the fixed flow list of a scenario script.  All
+// are built the same way:
+//   - routers, with the mechanism's queue discipline on both directions
+//     of every router-router link (one on a simplex link);
 //   - one access node per entry of the topology's sources and sinks,
-//     joined to its router by a drop-tail duplex link;
+//     joined to its router by a drop-tail link;
 //   - core machinery on every router, one (multi-flow) edge router per
 //     source attach node and one egress sink per sink attach node, of
 //     the kinds the mechanism's table row names;
@@ -102,6 +103,10 @@ std::unique_ptr<net::PacketQueue> make_core_queue(CoreQueueKind kind,
   return std::make_unique<net::DropTailQueue>(capacity);
 }
 
+std::unique_ptr<net::PacketQueue> drop_tail(net::NodeId /*from*/, std::size_t capacity) {
+  return std::make_unique<net::DropTailQueue>(capacity);
+}
+
 /// The nodes of a built topology, and each core link's forward direction.
 struct Fabric {
   std::vector<net::NodeId> routers;
@@ -112,10 +117,11 @@ struct Fabric {
 
 /// Build `topo` into `network` and route it: routers (router i on LP
 /// lp_of_router[i], or 0 if empty), both directions of every core link
-/// with the queue make_queue(from) returns, then one attach node per
-/// source and sink entry on a drop-tail duplex access link.  Builds of
-/// one description create everything in the same order, so they route
-/// identically.
+/// (the forward one if simplex) with the queue make_queue(from,
+/// capacity) returns, then one attach node per source and sink entry on
+/// a drop-tail access link.  A link's own LinkParams override the
+/// topology's rate, delay and queue size.  Builds of one description
+/// create everything in the same order, so they route identically.
 template <typename MakeQueue>
 Fabric build_fabric(net::Network& network, const GeneratedTopology& topo,
                     std::span<const std::uint32_t> lp_of_router, MakeQueue&& make_queue) {
@@ -125,29 +131,33 @@ Fabric build_fabric(net::Network& network, const GeneratedTopology& topo,
     fab.routers.push_back(network.add_node("R" + std::to_string(i),
                                            lp_of_router.empty() ? 0u : lp_of_router[i]));
   }
-  auto connect_core = [&](net::NodeId from, net::NodeId to) -> net::Link& {
-    return network.connect_with_queue(from, to, topo.cfg.core_rate, topo.cfg.link_delay,
-                                      make_queue(from));
+  // a -> b, then b -> a unless simplex; returns the a -> b direction.
+  auto connect = [&](net::NodeId a, net::NodeId b, const LinkParams& p, sim::Rate rate,
+                     auto&& queue) -> net::Link& {
+    rate = p.rate.value_or(rate);
+    const sim::TimeDelta delay = p.delay.value_or(topo.cfg.link_delay);
+    const std::size_t cap = p.queue_packets.value_or(topo.cfg.queue_capacity_packets);
+    net::Link& ab = network.connect_with_queue(a, b, rate, delay, queue(a, cap));
+    if (!p.simplex) network.connect_with_queue(b, a, rate, delay, queue(b, cap));
+    return ab;
   };
-  fab.forward_of_link.resize(topo.links.size(), nullptr);
-  for (std::size_t i = 0; i < topo.links.size(); ++i) {
-    const GenLink& l = topo.links[i];
-    fab.forward_of_link[i] = &connect_core(fab.routers[l.a], fab.routers[l.b]);
-    connect_core(fab.routers[l.b], fab.routers[l.a]);
+  fab.forward_of_link.reserve(topo.links.size());
+  for (const GenLink& l : topo.links) {
+    fab.forward_of_link.push_back(
+        &connect(fab.routers[l.a], fab.routers[l.b], l.own, topo.cfg.core_rate, make_queue));
   }
-  fab.src_node.reserve(topo.sources.size());
-  for (std::uint32_t r : topo.sources) {
-    fab.src_node.push_back(network.add_node("S" + std::to_string(fab.src_node.size()),
-                                            network.lp_of(fab.routers[r])));
-    network.connect_duplex(fab.src_node.back(), fab.routers[r], topo.cfg.access_rate,
-                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
+  auto own = [](const std::vector<LinkParams>& v, std::size_t i) {
+    return i < v.size() ? v[i] : LinkParams{};
+  };
+  for (std::size_t i = 0; i < topo.sources.size(); ++i) {
+    const net::NodeId r = fab.routers[topo.sources[i]];
+    fab.src_node.push_back(network.add_node("S" + std::to_string(i), network.lp_of(r)));
+    connect(fab.src_node.back(), r, own(topo.source_links, i), topo.cfg.access_rate, drop_tail);
   }
-  fab.dst_node.reserve(topo.sinks.size());
-  for (std::uint32_t r : topo.sinks) {
-    fab.dst_node.push_back(network.add_node("D" + std::to_string(fab.dst_node.size()),
-                                            network.lp_of(fab.routers[r])));
-    network.connect_duplex(fab.routers[r], fab.dst_node.back(), topo.cfg.access_rate,
-                           topo.cfg.link_delay, topo.cfg.queue_capacity_packets);
+  for (std::size_t i = 0; i < topo.sinks.size(); ++i) {
+    const net::NodeId r = fab.routers[topo.sinks[i]];
+    fab.dst_node.push_back(network.add_node("D" + std::to_string(i), network.lp_of(r)));
+    connect(r, fab.dst_node.back(), own(topo.sink_links, i), topo.cfg.access_rate, drop_tail);
   }
   network.build_routes();
   return fab;
@@ -194,6 +204,12 @@ ConstraintSets constraint_sets(net::Network& network, const Fabric& fab,
   return sets;
 }
 
+/// Flow `id`'s minimum-rate contract in `spec` (0 = none).
+double min_rate_of(const ScenarioSpec& spec, net::FlowId id) {
+  const std::size_t i = id - 1;
+  return i < spec.min_rates.size() ? spec.min_rates[i] : 0.0;
+}
+
 /// True iff a flow with these windows is active at t_sec (an empty list
 /// means always-on) — the auditor's activity rule.
 bool active_at(const std::vector<net::ActiveInterval>& windows, double t_sec) {
@@ -210,9 +226,9 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   const MechanismRow& row = mechanism_row(spec.mechanism);
 
   // LP partition over the router graph: cut preferentially at the
-  // designated bottleneck links, lookahead = min propagation delay over
-  // the cut set.  Attach nodes are co-located with their router, so only
-  // router-router links can cross LPs.
+  // designated bottleneck links, lookahead = min own propagation delay
+  // over the cut set.  Attach nodes are co-located with their router, so
+  // only router-router links can cross LPs.
   sim::par::LpPlan plan;
   if (spec.lp > 1) {
     std::vector<bool> is_bottleneck(topo.links.size(), false);
@@ -224,7 +240,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     g.edges.reserve(topo.links.size());
     for (std::size_t i = 0; i < topo.links.size(); ++i) {
       const GenLink& l = topo.links[i];
-      g.edges.push_back({l.a, l.b, topo.cfg.link_delay.sec(), is_bottleneck[i]});
+      g.edges.push_back(
+          {l.a, l.b, l.own.delay.value_or(topo.cfg.link_delay).sec(), is_bottleneck[i]});
     }
     plan = sim::par::partition_lp_graph(g, spec.lp);
     if (plan.zero_lookahead_fallback) {
@@ -285,10 +302,11 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   // topo.sources (hosting that entry's multi-flow edge) and topo.sinks.
   std::span<const std::uint32_t> lp_of_router;  // empty: every router on LP 0
   if (lp_mode) lp_of_router = plan.lp_of_node;
-  const Fabric fab = build_fabric(network, topo, lp_of_router, [&](net::NodeId from) {
-    return make_core_queue(row.queue, spec.topology, topo.cfg.queue_capacity_packets,
-                           network.local_rng(from), weight_of);
-  });
+  const Fabric fab =
+      build_fabric(network, topo, lp_of_router, [&](net::NodeId from, std::size_t capacity) {
+        return make_core_queue(row.queue, spec.topology, capacity, network.local_rng(from),
+                               weight_of);
+      });
   std::vector<net::Link*> bottleneck_links;
   bottleneck_links.reserve(topo.bottlenecks.size());
   for (std::size_t idx : topo.bottlenecks) bottleneck_links.push_back(fab.forward_of_link.at(idx));
@@ -351,8 +369,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     fs.egress = fab.dst_node[f.dst_attach];
     fs.weight = f.weight;
     fs.active = f.windows;
+    fs.min_rate_pps = min_rate_of(spec, f.id);
     const std::size_t i = f.id - 1;
-    if (i < spec.min_rates.size()) fs.min_rate_pps = spec.min_rates[i];
     if (i < spec.flood_pps.size()) fs.flood_pps = spec.flood_pps[i];
     return fs;
   };
@@ -408,7 +426,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
                                                               fluid_cfg, spec.duration);
     fluid_ctl->set_link_capacities(sets.caps);
     for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      fluid_ctl->add_flow(flows[fi].id, flows[fi].weight, sets.links[fi]);
+      fluid_ctl->add_flow(flows[fi].id, flows[fi].weight, sets.links[fi],
+                          min_rate_of(spec, flows[fi].id));
     }
     if (spec.fluid_probe != nullptr) fluid_ctl->set_probe(spec.fluid_probe);
     fluid_ctl->start();
@@ -484,7 +503,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     std::vector<telemetry::FairnessAuditor::FlowInfo> audit_flows;
     audit_flows.reserve(flows.size());
     for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      audit_flows.push_back({flows[fi].id, flows[fi].weight, sets.links[fi]});
+      audit_flows.push_back(
+          {flows[fi].id, flows[fi].weight, sets.links[fi], min_rate_of(spec, flows[fi].id)});
     }
     // Activity oracle straight off the flows' windows (`flows` outlives
     // the run; ids are 1-based and unique by construction) — the same
@@ -612,15 +632,16 @@ std::vector<GenFlow> paper_flows(const ScenarioSpec& spec, const GeneratedTopolo
 }
 
 /// Call f(topology, flows, record_series) with the network description
-/// and flow population `spec` runs: the generated topology and a
-/// population generated from spec.seed, or the paper chain and the
-/// spec's own flows.
+/// and flow population `spec` runs: the generated topology and its fixed
+/// flow list or a population generated from spec.seed, or the paper
+/// chain and the spec's own flows.
 template <typename F>
 decltype(auto) with_population(const ScenarioSpec& spec, F&& f) {
   if (spec.generated.has_value()) {
     const GeneratedWorkload& wl = *spec.generated;
     assert(spec.num_flows == wl.flows.num_flows &&
            "spec.num_flows must mirror generated->flows.num_flows");
+    if (!wl.fixed_flows.empty()) return f(wl.topology, wl.fixed_flows, wl.flows.record_series);
     // The population is a pure function of (topology, config, duration,
     // seed): sweep workers regenerate it independently and still land on
     // bit-identical run digests.
@@ -648,20 +669,16 @@ std::unordered_map<net::FlowId, double> ideal_rates_at(const ScenarioSpec& spec,
     // so the same routes and constraint sets the run itself audits.
     sim::Simulator simulator;
     net::Network network{simulator};
-    const Fabric fab = build_fabric(network, topo, {}, [&topo](net::NodeId) {
-      return std::make_unique<net::DropTailQueue>(topo.cfg.queue_capacity_packets);
-    });
+    const Fabric fab = build_fabric(network, topo, {}, drop_tail);
     ConstraintSets sets = constraint_sets(network, fab, topo, flows);
     std::vector<net::FlowId> ids;
     std::vector<sim::fluid::AllocFlow> active;
     for (std::size_t fi = 0; fi < flows.size(); ++fi) {
       const GenFlow& f = flows[fi];
       if (!active_at(f.windows, t.sec())) continue;
-      const std::size_t i = f.id - 1;
-      const double min_rate = i < spec.min_rates.size() ? spec.min_rates[i] : 0.0;
       ids.push_back(f.id);
       active.push_back({f.weight, std::numeric_limits<double>::infinity(),
-                        std::move(sets.links[fi]), min_rate});
+                        std::move(sets.links[fi]), min_rate_of(spec, f.id)});
     }
     const std::vector<double> rates = sim::fluid::water_fill(sets.caps, active);
     std::unordered_map<net::FlowId, double> ideal;

@@ -173,14 +173,14 @@ struct ScenarioSpec {
   csfq::CsfqConfig csfq{};
   PaperTopologyConfig topology{};
 
-  /// Generated workload (scaling axis): when set, the run uses the
-  /// generated topology + flow population instead of the paper's
+  /// Generated workload (scaling axis) or scenario script: when set, the
+  /// run uses this topology + flow population instead of the paper's
   /// Figure-2 network; `weights`/`activity` above are ignored (the
   /// population carries its own), and `topology` only configures the
-  /// queue disciplines.  The flow population is
-  /// regenerated at run time from this spec's `seed`, so sweeps stay a
-  /// pure function of the descriptor.  num_flows must equal
-  /// generated->flows.num_flows.
+  /// queue disciplines.  A generated population is regenerated at run
+  /// time from this spec's `seed`, so sweeps stay a pure function of the
+  /// descriptor; a script's is its fixed flow list.  num_flows must
+  /// equal generated->flows.num_flows.
   std::optional<GeneratedWorkload> generated;
 
   /// Optional observability hook, invoked once the network and mechanism

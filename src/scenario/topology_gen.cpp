@@ -22,6 +22,13 @@ struct Fnv {
     }
   }
   void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  // Only what a link sets, so generator output keeps its digest.
+  void mix(const LinkParams& p) {
+    if (p.rate) mix(p.rate->bits_per_second());
+    if (p.delay) mix(p.delay->sec());
+    if (p.queue_packets) mix(static_cast<std::uint64_t>(*p.queue_packets));
+    if (p.simplex) mix(std::uint64_t{1});
+  }
 };
 
 }  // namespace
@@ -34,9 +41,12 @@ std::uint64_t GeneratedTopology::digest() const {
   for (const GenLink& l : links) {
     d.mix(static_cast<std::uint64_t>(l.a));
     d.mix(static_cast<std::uint64_t>(l.b));
+    d.mix(l.own);
   }
   for (std::uint32_t r : sources) d.mix(static_cast<std::uint64_t>(r));
   for (std::uint32_t r : sinks) d.mix(static_cast<std::uint64_t>(r));
+  for (const LinkParams& p : source_links) d.mix(p);
+  for (const LinkParams& p : sink_links) d.mix(p);
   for (std::size_t i : bottlenecks) d.mix(static_cast<std::uint64_t>(i));
   d.mix(cfg.core_rate.bits_per_second());
   d.mix(cfg.access_rate.bits_per_second());
@@ -71,6 +81,13 @@ bool GeneratedTopology::connected() const {
   return visited == routers;
 }
 
+void GeneratedTopology::set_link_delay(sim::TimeDelta d) {
+  cfg.link_delay = d;
+  for (GenLink& l : links) l.own.delay.reset();
+  for (LinkParams& p : source_links) p.delay.reset();
+  for (LinkParams& p : sink_links) p.delay.reset();
+}
+
 GeneratedTopology make_parking_lot(std::size_t stages, TopologyGenConfig cfg) {
   assert(stages >= 1);
   GeneratedTopology t;
@@ -78,7 +95,7 @@ GeneratedTopology make_parking_lot(std::size_t stages, TopologyGenConfig cfg) {
   t.cfg = cfg;
   t.routers = stages + 1;
   for (std::uint32_t i = 0; i < stages; ++i) {
-    t.links.push_back({i, i + 1});
+    t.links.push_back({i, i + 1, {}});
     t.bottlenecks.push_back(i);  // every chain link is a bottleneck
     t.sources.push_back(i);
     t.sinks.push_back(i + 1);
@@ -107,11 +124,11 @@ GeneratedTopology make_fat_tree(std::size_t k, TopologyGenConfig cfg) {
       // bottleneck tier of the fabric.
       for (std::size_t c = 0; c < half; ++c) {
         t.bottlenecks.push_back(t.links.size());
-        t.links.push_back({agg_of(pod, j), static_cast<std::uint32_t>(j * half + c)});
+        t.links.push_back({agg_of(pod, j), static_cast<std::uint32_t>(j * half + c), {}});
       }
       // Edge j connects to every aggregation router of its pod.
       for (std::size_t a = 0; a < half; ++a) {
-        t.links.push_back({edge_of(pod, j), agg_of(pod, a)});
+        t.links.push_back({edge_of(pod, j), agg_of(pod, a), {}});
       }
       t.sources.push_back(edge_of(pod, j));
       t.sinks.push_back(edge_of(pod, j));
@@ -134,7 +151,7 @@ GeneratedTopology make_isp(std::size_t routers, std::uint64_t seed, TopologyGenC
   std::vector<std::size_t> degree(routers, 0);
   for (std::uint32_t i = 1; i < routers; ++i) {
     const auto parent = static_cast<std::uint32_t>(rng.uniform_int(0, i - 1));
-    t.links.push_back({parent, i});
+    t.links.push_back({parent, i, {}});
     ++degree[parent];
     ++degree[i];
   }
@@ -153,7 +170,7 @@ GeneratedTopology make_isp(std::size_t routers, std::uint64_t seed, TopologyGenC
     const auto a = static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(routers) - 1));
     const auto b = static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(routers) - 1));
     if (a == b || duplicate(a, b)) continue;
-    t.links.push_back({a, b});
+    t.links.push_back({a, b, {}});
     ++degree[a];
     ++degree[b];
     ++added;

@@ -1,9 +1,10 @@
 // Deterministic topology generation — the workload axis beyond the
 // paper's fixed Figure-2 chain.
 //
-// A GeneratedTopology is a pure description (routers, duplex links,
-// source/sink attach points, designated bottleneck links) produced by a
-// seed-driven generator.  Three families cover the evaluation space:
+// A GeneratedTopology is a pure description (routers, links, source/sink
+// attach points, designated bottleneck links) produced by a seed-driven
+// generator or read from a scenario script (config_script.h).  Three
+// generator families cover the evaluation space:
 //   - parking lot: an N-stage chain of core routers, the classic
 //     multi-bottleneck fairness topology (Figure 2 is the 3-stage
 //     instance);
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,22 +39,38 @@ struct TopologyGenConfig {
   sim::DataSize packet_size = sim::DataSize::kilobytes(1);
 };
 
-/// One duplex router-router link (endpoints are router indices).
+/// A link's own rate, delay and queue size where they differ from the
+/// TopologyGenConfig values (the generator families set none; a script
+/// sets all), and whether it runs one way only: a -> b on a router link,
+/// the way data flows on an attach link.
+struct LinkParams {
+  std::optional<sim::Rate> rate;
+  std::optional<sim::TimeDelta> delay;
+  std::optional<std::size_t> queue_packets;
+  bool simplex = false;
+};
+
+/// One router-router link (endpoints are router indices).
 struct GenLink {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
+  LinkParams own;
 };
 
 struct GeneratedTopology {
   std::string name;             ///< e.g. "pl8", "ft4", "isp32"
   std::size_t routers = 0;      ///< router indices are [0, routers)
-  std::vector<GenLink> links;   ///< duplex, between routers
+  std::vector<GenLink> links;   ///< between routers
   /// Attach nodes: each entry is one source (sink) access node, hung
   /// off the router it names.  The generator families list each router
   /// once, so all flows entering (leaving) there share its node; the
   /// paper chain lists one entry per flow.
   std::vector<std::uint32_t> sources;
   std::vector<std::uint32_t> sinks;
+  /// Each attach link's own parameters, parallel to sources (sinks);
+  /// empty when all take the defaults.
+  std::vector<LinkParams> source_links;
+  std::vector<LinkParams> sink_links;
   /// Indices into `links` of the designated bottleneck links — the ones
   /// the runner samples queue lengths on, records drop times for and
   /// exposes to the telemetry instrument hook (the paper chain's three
@@ -64,8 +82,12 @@ struct GeneratedTopology {
   /// a generator is deterministic and unchanged.
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// True iff every router is reachable from router 0 over `links`.
+  /// True iff every router is reachable from router 0 over `links`
+  /// (either direction).
   [[nodiscard]] bool connected() const;
+
+  /// Give every link propagation delay `d`.
+  void set_link_delay(sim::TimeDelta d);
 
   /// Bottleneck capacity in packets per second.
   [[nodiscard]] double capacity_pps() const {

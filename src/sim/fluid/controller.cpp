@@ -11,7 +11,8 @@ FluidController::FluidController(Simulator& sim, TimeWarp& warp, stats::FlowTrac
   stats_.enabled = cfg_.enabled;
 }
 
-void FluidController::add_flow(net::FlowId id, double weight, std::vector<std::uint32_t> links) {
+void FluidController::add_flow(net::FlowId id, double weight, std::vector<std::uint32_t> links,
+                               double min_rate) {
   Tracked t;
   t.id = id;
   t.weight = weight;
@@ -19,6 +20,7 @@ void FluidController::add_flow(net::FlowId id, double weight, std::vector<std::u
   AllocFlow a;
   a.weight = weight;
   a.links = std::move(links);
+  a.min_rate = min_rate;
   alloc_flows_.push_back(std::move(a));
 }
 

@@ -45,9 +45,11 @@ class FluidController {
   /// this vector.  Call before start().
   void set_link_capacities(std::vector<double> caps_pps) { caps_ = std::move(caps_pps); }
 
-  /// Register a flow with its weight and the capacity-vector indices of
-  /// the links it crosses.  Call before start().
-  void add_flow(net::FlowId id, double weight, std::vector<std::uint32_t> links);
+  /// Register a flow with its weight, the capacity-vector indices of the
+  /// links it crosses and its minimum-rate contract (pkt/s, 0 = none).
+  /// Call before start().
+  void add_flow(net::FlowId id, double weight, std::vector<std::uint32_t> links,
+                double min_rate);
 
   /// Arm the periodic convergence check.  Call once, before the run.
   void start();

@@ -21,6 +21,7 @@ FairnessAuditor::FairnessAuditor(FairnessAuditConfig cfg, const stats::FlowTrack
     sim::fluid::AllocFlow a;
     a.weight = f.weight > 0.0 ? f.weight : 1.0;
     a.links = f.links;
+    a.min_rate = f.min_rate;
     alloc_flows_.push_back(std::move(a));
   }
   cursors_.resize(flows_.size());

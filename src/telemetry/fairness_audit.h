@@ -142,6 +142,7 @@ class FairnessAuditor {
     net::FlowId id = net::kInvalidFlow;
     double weight = 1.0;
     std::vector<std::uint32_t> links;  ///< indices into the capacity vector
+    double min_rate = 0.0;             ///< minimum-rate contract, pkt/s
   };
   /// Is flow `id` active (inside an activity window) at time `t_sec`?
   using ActiveFn = std::function<bool(net::FlowId, double)>;

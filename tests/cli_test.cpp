@@ -329,7 +329,7 @@ TEST(ScenarioArgs, SweepRefusesEverySingleRunOption) {
       {"--selector", "cache"},  {"--detector", "ewma"}, {"--adaptation", "aimd"},
       {"--pacing", "onoff"},    {"--epoch-ms", "400"},  {"--k1", "8"},
       {"--qthresh", "4"},       {"--kcubic", "0.2"},    {"--link-delay-ms", "10"},
-      {"--fluid-band", "0.2"},  {"--fluid-dwell", "3"}};
+      {"--fluid-band", "0.2"},  {"--fluid-dwell", "3"},  {"--config", "dumbbell.cls"}};
   for (const auto& [name, value] : options) {
     std::ostringstream err;
     EXPECT_FALSE(sweep_ok({name, value}, err)) << name;
@@ -353,6 +353,66 @@ TEST(ScenarioArgs, SweepKeepsItsOwnOptionsAndChecksDuration) {
   std::ostringstream err;
   EXPECT_FALSE(sweep_ok({"--duration", "-5"}, err));
   EXPECT_NE(err.str().find("--duration must be >= 0, got -5"), std::string::npos) << err.str();
+}
+
+const std::string kDumbbellScript = std::string(CORELITE_SCRIPTS_DIR) + "/dumbbell.cls";
+
+/// The spec `args` build; asserts that they build one.
+scenario::ScenarioSpec spec_of(std::vector<const char*> args) {
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  EXPECT_TRUE(parse(p, std::move(args), err));
+  auto spec = spec_from_args(p, err);
+  EXPECT_TRUE(spec.has_value()) << err.str();
+  return spec.value_or(scenario::ScenarioSpec{});
+}
+
+// --config is one more scenario source: the script's own mechanism,
+// duration and seed unless the command line sets them, and every other
+// single-run option on top.
+TEST(ScenarioArgs, ConfigScriptIsAScenarioSource) {
+  const auto plain = spec_of({"--config", kDumbbellScript.c_str()});
+  EXPECT_EQ(plain.mechanism, scenario::Mechanism::Corelite);
+  EXPECT_DOUBLE_EQ(plain.duration.sec(), 60.0);
+  EXPECT_EQ(plain.seed, 5u);
+  EXPECT_EQ(plain.num_flows, 2u);
+  ASSERT_TRUE(plain.generated.has_value());
+  EXPECT_EQ(plain.generated->topology.links[0].own.delay, sim::TimeDelta::millis(5));
+
+  const auto set = spec_of({"--config", kDumbbellScript.c_str(), "--mechanism", "csfq",
+                            "--duration", "7", "--seed", "9", "--lp", "2", "--fluid",
+                            "--link-delay-ms", "12"});
+  EXPECT_EQ(set.mechanism, scenario::Mechanism::Csfq);
+  EXPECT_DOUBLE_EQ(set.duration.sec(), 7.0);
+  EXPECT_EQ(set.seed, 9u);
+  EXPECT_EQ(set.lp, 2u);
+  EXPECT_TRUE(set.fluid.enabled);
+  ASSERT_TRUE(set.generated.has_value());
+  const scenario::GeneratedTopology& topo = set.generated->topology;
+  EXPECT_EQ(topo.cfg.link_delay, sim::TimeDelta::millis(12));
+  EXPECT_FALSE(topo.links[0].own.delay.has_value());  // every link takes the topology's
+  EXPECT_FALSE(topo.source_links[0].delay.has_value());
+}
+
+TEST(ScenarioArgs, ConfigRefusesAnotherScenarioSource) {
+  const char* path = kDumbbellScript.c_str();
+  EXPECT_TRUE(spec_refused({"--config", path, "--scenario", "fig3"},
+                           "--scenario cannot be combined with --config"));
+  EXPECT_TRUE(spec_refused({"--config", path, "--weights", "1,2"},
+                           "--weights cannot be combined with --config"));
+  EXPECT_TRUE(spec_refused({"--config", "no/such/script.cls"}, "cannot open no/such/script.cls"));
+}
+
+// The script runner used to know only Corelite and CSFQ and ignored
+// --mechanism: WFQ cores keep per-flow state, Corelite cores none.
+TEST(ScenarioArgs, ConfigMechanismOverrideRunsWfqCores) {
+  const auto wfq =
+      spec_of({"--config", kDumbbellScript.c_str(), "--mechanism", "wfq", "--duration", "5"});
+  ASSERT_EQ(wfq.mechanism, scenario::Mechanism::Wfq);
+  EXPECT_GT(scenario::run_paper_scenario(wfq).core_flow_state, 0u);
+  const auto corelite = spec_of({"--config", kDumbbellScript.c_str(), "--duration", "5"});
+  EXPECT_EQ(scenario::run_paper_scenario(corelite).core_flow_state, 0u);
 }
 
 TEST(ScenarioArgs, RejectsNonPositiveAuditBand) {

@@ -9,13 +9,16 @@ compares the result digest against the committed manifest
   - short generated workloads on a parking lot, a fat tree and an ISP
     graph (gen-pl4/gen-ft4/gen-isp16);
 
+  - the two example scenario scripts (examples/scripts/*.cls, run with
+    --config) at their own durations;
+
 each under all nine mechanisms, once on the serial engine and once with
 --lp 2; plus serial variant cells for the non-default edge adaptation
 policies (--adaptation aimd/mimd on fig5/fig9 x corelite/csfq) and
 pacing modes (--pacing poisson/onoff on fig5 x corelite).  Every cell
 gets its own per-run digest, so a change that moves one wiring path
 (one queue discipline, one topology family, the LP partition, one
-adaptation policy) names the cell it moved.
+adaptation policy, the script conversion) names the cell it moved.
 
 The fluid machinery is compiled into the binary but disabled by default;
 any digest drift here means fluid-off is no longer bit-identical to the
@@ -38,17 +41,21 @@ import tempfile
 from pathlib import Path
 
 MANIFEST = Path(__file__).resolve().parent / "golden_digests.json"
+SCRIPTS = Path(__file__).resolve().parent.parent / "examples" / "scripts"
 
-# (scenario, extra CLI args): paper scenarios run their default length,
-# generated ones a short window that still covers arrivals and churn.
+# (cell name, scenario-source CLI args): paper scenarios run their
+# default length, generated ones a short window that still covers
+# arrivals and churn, scripts the duration they declare.
 SCENARIOS = [
-    ("fig3", []),
-    ("fig5", []),
-    ("fig7", []),
-    ("fig9", []),
-    ("gen-pl4-200", ["--duration", "20"]),
-    ("gen-ft4-200", ["--duration", "20"]),
-    ("gen-isp16-200", ["--duration", "20"]),
+    ("fig3", ["--scenario", "fig3"]),
+    ("fig5", ["--scenario", "fig5"]),
+    ("fig7", ["--scenario", "fig7"]),
+    ("fig9", ["--scenario", "fig9"]),
+    ("gen-pl4-200", ["--scenario", "gen-pl4-200", "--duration", "20"]),
+    ("gen-ft4-200", ["--scenario", "gen-ft4-200", "--duration", "20"]),
+    ("gen-isp16-200", ["--scenario", "gen-isp16-200", "--duration", "20"]),
+    ("dumbbell.cls", ["--config", str(SCRIPTS / "dumbbell.cls")]),
+    ("parking_lot.cls", ["--config", str(SCRIPTS / "parking_lot.cls")]),
 ]
 MECHANISMS = ["corelite", "csfq", "droptail", "red", "fred", "wfq", "ecnbit", "choke", "sfq"]
 LPS = [1, 2]
@@ -70,22 +77,21 @@ def cell_key(scenario, mechanism, lp):
 
 
 def cells():
-    """(key, scenario, extra CLI args, mechanism, lp) for every pinned cell."""
-    for scenario, extra in SCENARIOS:
+    """(key, scenario-source CLI args, mechanism, lp) for every pinned cell."""
+    for scenario, source in SCENARIOS:
         for mechanism in MECHANISMS:
             for lp in LPS:
-                yield cell_key(scenario, mechanism, lp), scenario, extra, mechanism, lp
+                yield cell_key(scenario, mechanism, lp), source, mechanism, lp
     for scenario, mechanism, option, value in VARIANTS:
-        yield (f"{scenario}/{mechanism}/{option}-{value}", scenario, [f"--{option}", value],
-               mechanism, 1)
+        yield (f"{scenario}/{mechanism}/{option}-{value}",
+               ["--scenario", scenario, f"--{option}", value], mechanism, 1)
 
 
-def run_digest(binary, key, scenario, extra, mechanism, lp, workdir):
+def run_digest(binary, key, source, mechanism, lp, workdir):
     # The digest line only prints under --telemetry; the run manifest it
     # also writes lands in the scratch working directory.
     out = subprocess.run(
-        [binary, "--scenario", scenario, "--mechanism", mechanism, "--lp", str(lp),
-         "--telemetry", *extra],
+        [binary, *source, "--mechanism", mechanism, "--lp", str(lp), "--telemetry"],
         check=True, capture_output=True, text=True, cwd=workdir).stdout
     m = re.search(r"result digest: ([0-9a-f]+)", out)
     if not m:
@@ -104,8 +110,8 @@ def main():
     manifest = json.loads(MANIFEST.read_text())
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
-        for key, scenario, extra, mechanism, lp in cells():
-            got = run_digest(binary, key, scenario, extra, mechanism, lp, workdir)
+        for key, source, mechanism, lp in cells():
+            got = run_digest(binary, key, source, mechanism, lp, workdir)
             if args.update:
                 manifest[key] = got
                 print(f"{key:34s} {got}")

@@ -6,6 +6,7 @@
 //   corelite_sim --weights 1,1,1,1,1,5,5,5,5,5 --summary
 //   corelite_sim --csv-rates rates.csv --csv-cum cum.csv
 //   corelite_sim --detector ewma --adaptation aimd --pacing poisson
+//   corelite_sim --config examples/scripts/dumbbell.cls --mechanism wfq --lp 2
 //   corelite_sim --sweep 8 --jobs 4 --sweep-mechanisms corelite,csfq --json sweep.json
 #include <algorithm>
 #include <chrono>
@@ -23,7 +24,6 @@
 #include "cli/args.h"
 #include "cli/scenario_args.h"
 #include "runner/sweep.h"
-#include "scenario/config_script.h"
 #include "sim/hotpath.h"
 #include "sim/parallel/thread_budget.h"
 #include "stats/aggregate.h"
@@ -404,45 +404,13 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
   return 0;
 }
 
-// Scripted mode: build/run a custom scenario from a config file.
-int run_config_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  auto script = sc::parse_scenario_script(in, std::cerr);
-  if (!script.has_value()) return 2;
-  std::fprintf(stderr, "running scripted scenario (%s, %zu flows, %.0f s)...\n",
-               script->mechanism.c_str(), script->flows.size(), script->duration_sec);
-  const auto r = sc::run_script_scenario(*script, std::cerr);
-  if (!r.has_value()) return 2;
-
-  const double t_end = script->duration_sec;
-  std::printf("%-6s %-7s %-9s %-11s %-9s\n", "flow", "weight", "avg", "delivered", "dropped");
-  for (const auto& f : script->flows) {
-    const auto& fs = r->tracker.series(f.id);
-    std::printf("%-6u %-7.1f %-9.2f %-11llu %-9llu\n", f.id, f.weight,
-                fs.allotted_rate.average_over(t_end / 2.0, t_end),
-                static_cast<unsigned long long>(fs.delivered),
-                static_cast<unsigned long long>(fs.dropped));
-  }
-  std::printf("\ndata drops: %llu   events: %llu   unrouteable: %llu\n",
-              static_cast<unsigned long long>(r->data_drops),
-              static_cast<unsigned long long>(r->events_processed),
-              static_cast<unsigned long long>(r->unrouteable));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   corelite::cli::ArgParser parser{
       "corelite_sim",
-      "run a Corelite / CSFQ scenario on the paper's Figure-2 topology"};
+      "run a paper scenario, a generated workload or a scenario script under any mechanism"};
   corelite::cli::register_scenario_options(parser);
-  parser.add_string("config", "",
-                    "run a scripted scenario from this file instead (see examples/scripts)");
   parser.add_string("csv-rates", "", "write per-flow allotted-rate CSV to this path");
   parser.add_string("csv-cum", "", "write per-flow cumulative-service CSV to this path");
   parser.add_string("json", "", "write a machine-readable run summary to this path");
@@ -461,11 +429,12 @@ int main(int argc, char** argv) {
 
   if (!parser.parse(argc, argv, std::cerr)) return 2;
 
-  if (parser.was_set("config")) return run_config_file(parser.get_string("config"));
   if (parser.get_int("sweep") > 0) return run_sweep(parser);
 
   auto spec = corelite::cli::spec_from_args(parser, std::cerr);
   if (!spec.has_value()) return 2;
+  const std::string scenario_name =
+      parser.get_string(parser.was_set("config") ? "config" : "scenario");
 
   const TelemetryArgs tele = TelemetryArgs::from(parser);
   const AuditArgs audit = AuditArgs::from(parser);
@@ -487,7 +456,7 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "running %s / %s for %.0f s (seed %llu)...\n",
-               parser.get_string("scenario").c_str(), sc::mechanism_name(spec->mechanism).c_str(),
+               scenario_name.c_str(), sc::mechanism_name(spec->mechanism).c_str(),
                spec->duration.sec(), static_cast<unsigned long long>(spec->seed));
   phases.start("run");
   const auto run_t0 = std::chrono::steady_clock::now();
@@ -507,10 +476,7 @@ int main(int argc, char** argv) {
                 "delivered", "dropped");
     for (std::size_t i = 1; i <= spec->num_flows; ++i) {
       const auto& fs = result.tracker.series(static_cast<corelite::net::FlowId>(i));
-      // Generated specs carry no weights list (the population owns the
-      // weights); read them from the tracker.
-      const double w = i <= spec->weights.size() ? spec->weights[i - 1] : fs.weight;
-      std::printf("%-6zu %-7.1f %-9.2f %-9.2f %-9llu %-9llu\n", i, w, score.ideal[i - 1],
+      std::printf("%-6zu %-7.1f %-9.2f %-9.2f %-9llu %-9llu\n", i, fs.weight, score.ideal[i - 1],
                   score.avg_rate[i - 1], static_cast<unsigned long long>(fs.delivered),
                   static_cast<unsigned long long>(fs.dropped));
     }
@@ -568,7 +534,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     corelite::stats::RunSummaryJson meta;
-    meta.scenario = parser.get_string("scenario");
+    meta.scenario = scenario_name;
     meta.mechanism = sc::mechanism_name(spec->mechanism);
     meta.duration_sec = t_end;
     meta.seed = spec->seed;
@@ -583,7 +549,7 @@ int main(int argc, char** argv) {
 
   if (audit.on) {
     tel::AuditDocument doc;
-    doc.scenario = parser.get_string("scenario");
+    doc.scenario = scenario_name;
     doc.mechanism = sc::mechanism_name(spec->mechanism);
     doc.seed = spec->seed;
     doc.fairness = result.audit_report.get();
@@ -606,7 +572,7 @@ int main(int argc, char** argv) {
     phases.stop();
     tel::RunManifest manifest;
     manifest.tool = "corelite_sim";
-    manifest.scenario = parser.get_string("scenario");
+    manifest.scenario = scenario_name;
     manifest.mechanism = sc::mechanism_name(spec->mechanism);
     manifest.base_seed = spec->seed;
     manifest.runs = 1;
@@ -634,7 +600,7 @@ int main(int argc, char** argv) {
       trace.set_process_name(tel::TraceWriter::kWallPid, "wall-clock (us since start)");
       trace.set_thread_name(tel::TraceWriter::kWallPid, 0, "main");
       trace.add_complete(tel::TraceWriter::kWallPid, 0,
-                         parser.get_string("scenario") + "/" + sc::mechanism_name(spec->mechanism),
+                         scenario_name + "/" + sc::mechanism_name(spec->mechanism),
                          "run", 0.0, run_ms * 1000.0, "events",
                          static_cast<double>(result.events_processed));
       if (!tel::write_trace_file(trace, tele.trace_path, std::cerr)) return 1;
