@@ -12,45 +12,54 @@
 // WFQ runs alongside the two core-stateless schemes so the measured
 // state column actually contrasts O(1) with O(flows).
 //
-// The grid executes through the sweep runner, so
+// The population grid is one rn::expand_grid per population size, run
+// through the sweep runner, so
 //   --jobs N    runs N universes in parallel (rows stay in grid order
-//               and are bit-identical to --jobs 1), and
-//   --sweep R   repeats every cell R times over derived seeds and adds
-//               a mean±ci95 fairness summary.
+//               and are bit-identical to --jobs 1),
+//   --sweep R   repeats every cell R times over seeds derived from
+//               --seed S and adds a mean±ci95 fairness summary, and
+//   --profile   prints the grid's hot-path op counters.
 //
 // After the grid, the SCALING CURVE runs generated workloads at bench
 // scale — 1k → 10k → 100k flows on a generated topology (1M with
-// --stretch) — and records wall time, events/s, hot-path op counts and
-// peak RSS per row into BENCH_scale.json.  The curve is the workload
-// axis the paper motivates ("hundreds of thousands of flows"): each row
-// is one deterministic generated scenario, so the per-row digest doubles
-// as a regression gate.
-//   --curve A,B,...      override the curve's flow counts (empty: skip)
+// --stretch), once per --lp-list entry — and the FLUID AXIS runs each
+// count's steady variant as a packet/fluid pair.  Both axes are one
+// descriptor list measured one run at a time, so each row's RSS and
+// hot-path counter delta belong to that run alone; the rows land in
+// BENCH_scale.json.  Each row is one deterministic generated scenario,
+// so its digest doubles as a regression gate.
+//   --curve A,B,...      flow counts, strictly increasing (empty: skip)
 //   --curve-topo T       generated topology (pl8, ft4, isp32, ...)
 //   --curve-duration S   simulated seconds per curve row
+//   --lp-list A,B,...    LP counts each flow count runs at
+//   --no-fluid-axis      skip the packet/fluid pairs
+//   --fluid-duration S   simulated seconds per fluid-axis row
 //   --stretch            append the 1M-flow stretch row
+//
+// Exit status: 2 on a bad option, 1 on a failed row or when an lp > 1
+// row stepped on one thread does not reproduce its digest.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "cli/args.h"
 #include "runner/sweep.h"
 #include "sim/hotpath.h"
 #include "sim/parallel/thread_budget.h"
 #include "stats/aggregate.h"
 #include "telemetry/harness.h"
-#include "telemetry/metrics.h"
 
 namespace sc = corelite::scenario;
 namespace rn = corelite::runner;
+namespace sim = corelite::sim;
 namespace tel = corelite::telemetry;
 
 namespace {
@@ -73,180 +82,111 @@ long peak_rss_kb() {
   return ru.ru_maxrss;
 }
 
+/// The entries of the comma list given to --`name`: positive integers,
+/// none repeated, and strictly increasing when `increasing`.  nullopt,
+/// after a message naming the option and the entry, on anything else.
+std::optional<std::vector<std::size_t>> parse_counts(const std::string& list, const char* name,
+                                                     bool increasing) {
+  std::vector<std::size_t> out;
+  std::stringstream ss{list};
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    char* end = nullptr;
+    // strtoull silently wraps negatives; reject the sign up front so
+    // "-100" fails as non-positive instead of becoming 2^64-100.
+    const unsigned long long v = item[0] == '-' ? 0 : std::strtoull(item.c_str(), &end, 10);
+    const char* why = nullptr;
+    if (v == 0 || end == item.c_str() || *end != '\0') {
+      why = "must be a positive integer";
+    } else if (increasing && !out.empty() && v <= out.back()) {
+      why = "must be above the entry before it (sorted, no duplicates)";
+    } else if (std::find(out.begin(), out.end(), v) != out.end()) {
+      why = "is repeated";
+    }
+    if (why != nullptr) {
+      std::fprintf(stderr, "--%s entry '%s' %s\n", name, item.c_str(), why);
+      return std::nullopt;
+    }
+    out.push_back(static_cast<std::size_t>(v));
+  }
+  return out;
+}
+
+/// One curve or fluid-axis row: the run, plus what only a serial loop
+/// can attribute to it.
 struct CurveRow {
-  std::size_t flows = 0;
-  std::string scenario;
-  std::size_t lp = 1;  ///< requested LP count (1 = serial engine)
-  bool fluid = false;  ///< row ran with fluid fast-forward jumps enabled
-  double wall_ms = 0.0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  double events_per_flow = 0.0;
-  /// Fraction of simulated time the convergence detector classified as
-  /// steady (fast-forwardable); packet rows measure it in observe-only
-  /// mode, so fluid-mode wins are attributable row by row.
-  double steady_state_fraction = 0.0;
-  double fluid_ff_sec = 0.0;            ///< simulated seconds skipped by jumps
-  std::uint64_t fluid_jumps = 0;
-  std::uint64_t fluid_events_elided = 0;
-  double speedup_vs_packet = 0.0;  ///< packet-row wall / this row's wall (fluid rows)
-  /// Certification-attempt accounting (fluid rows; zeros elsewhere):
-  /// how hard the controller worked for its jumps, and why it balked.
-  std::uint64_t cert_attempts = 0;
-  std::uint64_t cert_rejects_min_skip = 0;
-  std::uint64_t cert_rejects_drift = 0;
-  std::uint64_t cert_rejects_agreement = 0;
-  double cert_mean_dwell_at_accept = 0.0;
-  std::uint64_t delivered = 0;
-  std::uint64_t drops = 0;
-  double jain = 0.0;
-  std::uint64_t rng_draws = 0;
-  std::uint64_t wheel_inserts = 0;
-  std::uint64_t series_appends = 0;
-  std::uint64_t lp_barriers = 0;
-  std::uint64_t cross_lp_events = 0;
-  std::uint64_t mailbox_flushes = 0;
-  double lookahead_ms = 0.0;
-  double cross_lp_fraction = 0.0;  ///< cross-LP handoffs / events
-  double speedup_vs_serial = 0.0;  ///< wall(lp=1, same flows) / wall(this row)
-  /// lp > 1 rows re-run with --lp-threads 1: the digest must not depend
-  /// on the OS thread count (the engine's determinism contract).
-  bool digest_match_serial_stepped = false;
+  rn::RunResult r;
+  sim::HotPathCounters ops;  ///< counted during this run alone
+  /// Wall of this scenario's serial packet row over this row's wall:
+  /// speedup_vs_packet on a fluid row, speedup_vs_serial otherwise.
+  double speedup = 0.0;
+  /// Ran, and for lp > 1 the same run stepped on one thread reproduced
+  /// its digest (the engine's determinism contract).
+  bool ok = false;
   long rss_kb = -1;
   long peak_kb = -1;
-  std::uint64_t digest = 0;
-  bool ok = false;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t jobs = 1;
-  std::size_t repeats = 1;
-  std::uint64_t base_seed = 1;
-  bool profile = false;
-  bool telemetry = false;
-  bool stretch = false;
-  std::string trace_path;
-  std::string manifest_path = "run_manifest.json";
-  std::string curve_topo = "pl8";
-  std::string curve_list = "1000,10000,100000";
-  std::string lp_list = "1,4";
-  double curve_duration = 10.0;
-  bool fluid_axis = true;
-  double fluid_duration = 300.0;
-  double heartbeat_sec = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const bool more = i + 1 < argc;
-    if (std::strcmp(argv[i], "--jobs") == 0 && more) {
-      jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && more) {
-      repeats = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && more) {
-      base_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      profile = true;
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-      telemetry = true;
-    } else if (std::strcmp(argv[i], "--stretch") == 0) {
-      stretch = true;
-    } else if (std::strcmp(argv[i], "--curve") == 0 && more) {
-      curve_list = argv[++i];
-    } else if (std::strcmp(argv[i], "--curve-topo") == 0 && more) {
-      curve_topo = argv[++i];
-    } else if (std::strcmp(argv[i], "--curve-duration") == 0 && more) {
-      curve_duration = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--lp-list") == 0 && more) {
-      lp_list = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-fluid-axis") == 0) {
-      fluid_axis = false;
-    } else if (std::strcmp(argv[i], "--fluid-duration") == 0 && more) {
-      fluid_duration = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && more) {
-      trace_path = argv[++i];
-      telemetry = true;
-    } else if (std::strcmp(argv[i], "--manifest") == 0 && more) {
-      manifest_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--heartbeat") == 0 && more) {
-      heartbeat_sec = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs N] [--sweep REPEATS] [--seed S] [--profile] [--telemetry] "
-                   "[--trace-out PATH] [--manifest PATH] [--heartbeat SEC] "
-                   "[--curve A,B,...] [--curve-topo T] [--curve-duration S] [--lp-list A,B,...] "
-                   "[--no-fluid-axis] [--fluid-duration S] [--stretch]\n",
-                   argv[0]);
+  corelite::cli::ArgParser parser{
+      "scale_flows",
+      "flow-population grid, generated-workload scaling curve and fluid axis (BENCH_scale.json)"};
+  parser.add_int("jobs", 1, "population-grid runs executed in parallel");
+  parser.add_int("sweep", 1, "repeats of every population-grid cell, over derived seeds");
+  parser.add_int("seed", 1, "base seed every run's seed derives from");
+  parser.add_flag("profile", "print the population grid's hot-path op counters");
+  parser.add_string("curve", "1000,10000,100000",
+                    "scaling-curve flow counts, strictly increasing (empty: no curve)");
+  parser.add_string("curve-topo", "pl8", "generated topology of the curve (pl8, ft4, isp32, ...)");
+  parser.add_double("curve-duration", 10.0, "simulated seconds per curve row");
+  parser.add_string("lp-list", "1,4", "LP counts every curve flow count runs at");
+  parser.add_flag("no-fluid-axis", "skip the packet/fluid pair per flow count");
+  parser.add_double("fluid-duration", 300.0, "simulated seconds per fluid-axis row");
+  parser.add_flag("stretch", "append the 1M-flow row to the curve");
+  if (!parser.parse(argc, argv, std::cerr)) return 2;
+  for (const char* name : {"jobs", "sweep"}) {
+    if (parser.get_int(name) < 1) {
+      std::fprintf(stderr, "--%s must be >= 1, got %lld\n", name,
+                   static_cast<long long>(parser.get_int(name)));
       return 2;
     }
   }
-  if (jobs < 1) jobs = 1;
-  if (repeats < 1) repeats = 1;
-  tel::set_enabled(telemetry);
-
-  // ---- Scaling curve: generated workloads at bench scale ----------------
-  std::vector<std::size_t> curve;
-  {
-    std::stringstream ss{curve_list};
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      char* end = nullptr;
-      // strtoull silently wraps negatives; reject the sign up front so
-      // "-100" fails as non-positive instead of becoming 2^64-100.
-      const unsigned long long n =
-          item[0] == '-' ? 0 : std::strtoull(item.c_str(), &end, 10);
-      if (n == 0 || end == item.c_str() || *end != '\0') {
-        std::fprintf(stderr, "--curve entry '%s': flow counts must be positive integers\n",
-                     item.c_str());
-        return 2;
-      }
-      if (!curve.empty() && n <= curve.back()) {
-        std::fprintf(stderr,
-                     "--curve entry '%llu' after '%zu': flow counts must be strictly "
-                     "increasing (sorted, no duplicates)\n",
-                     n, curve.back());
-        return 2;
-      }
-      curve.push_back(static_cast<std::size_t>(n));
+  for (const char* name : {"curve-duration", "fluid-duration"}) {
+    if (parser.get_double(name) <= 0.0) {
+      std::fprintf(stderr, "--%s must be > 0, got %g\n", name, parser.get_double(name));
+      return 2;
     }
   }
-  if (stretch && (curve.empty() || curve.back() < 1000000)) curve.push_back(1000000);
-  if (curve_duration <= 0.0) curve_duration = 10.0;
-
-  std::vector<std::size_t> lps;
-  {
-    std::stringstream ss{lp_list};
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-      if (end == item.c_str() || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "malformed --lp-list entry '%s'\n", item.c_str());
-        return 2;
-      }
-      lps.push_back(static_cast<std::size_t>(v));
-    }
-    if (lps.empty()) lps.push_back(1);
+  auto curve = parse_counts(parser.get_string("curve"), "curve", true);
+  auto lps = parse_counts(parser.get_string("lp-list"), "lp-list", false);
+  if (!curve.has_value() || !lps.has_value()) return 2;
+  if (lps->empty()) lps->push_back(1);
+  if (parser.get_flag("stretch") && (curve->empty() || curve->back() < 1000000)) {
+    curve->push_back(1000000);
   }
+  const auto jobs = static_cast<std::size_t>(parser.get_int("jobs"));
+  const auto repeats = static_cast<std::size_t>(parser.get_int("sweep"));
+  const auto base_seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  const std::string curve_topo = parser.get_string("curve-topo");
+  const double curve_duration = parser.get_double("curve-duration");
+  const double fluid_duration = parser.get_double("fluid-duration");
 
-
+  // ---- Population grid: Figure-2 topology, weights 1,2,3 repeating ------
   std::vector<rn::RunDescriptor> runs;
-  for (std::size_t n : {10u, 20u, 40u, 80u}) {
-    for (const auto mech : {sc::Mechanism::Corelite, sc::Mechanism::Csfq, sc::Mechanism::Wfq}) {
-      for (std::size_t rep = 0; rep < repeats; ++rep) {
-        rn::RunDescriptor d;
-        d.scenario = "fig5";  // Figure-2 topology with the population overridden
-        d.mechanism = mech;
-        d.num_flows = n;
-        d.duration_sec = 60.0;
-        d.weights.resize(n);
-        for (std::size_t i = 0; i < n; ++i) d.weights[i] = static_cast<double>(i % 3 + 1);
-        d.repeat = rep;
-        d.seed = rn::derive_seed(base_seed, rep);
-        runs.push_back(std::move(d));
-      }
-    }
+  for (const std::size_t n : {10u, 20u, 40u, 80u}) {
+    rn::SweepGrid grid;
+    grid.scenarios = {"fig5"};  // Figure-2 topology with the population overridden
+    grid.mechanisms = {sc::Mechanism::Corelite, sc::Mechanism::Csfq, sc::Mechanism::Wfq};
+    grid.repeats = repeats;
+    grid.base_seed = base_seed;
+    grid.duration_sec = 60.0;
+    grid.num_flows = n;
+    for (std::size_t i = 0; i < n; ++i) grid.weights.push_back(static_cast<double>(i % 3 + 1));
+    const std::vector<rn::RunDescriptor> cells = rn::expand_grid(grid);
+    runs.insert(runs.end(), cells.begin(), cells.end());
   }
 
   std::printf("Scalability: flow population sweep (Figure-2 topology, 60 s runs)\n");
@@ -254,17 +194,8 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-10s %-8s %-10s %-10s %-12s %-14s %-12s\n", "flows", "mech", "rep", "jain",
               "drops", "events", "wall[ms]", "core state");
 
-  tel::PhaseTimer phases;
-  phases.start("run");
-  tel::TraceWriter trace;
-  std::unique_ptr<tel::LinkTraceCollector> collector;
   rn::SweepRunner runner{jobs};
-  if (!trace_path.empty()) {
-    runner.set_run_instrument(0, tel::congested_link_instrument(trace, collector));
-  }
-  if (heartbeat_sec > 0.0) runner.set_heartbeat(&std::cerr, heartbeat_sec);
   const auto results = runner.run(runs);
-  phases.start("report");
 
   corelite::stats::SweepAggregator agg;
   for (const auto& r : results) {
@@ -294,31 +225,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (profile) {
-    const corelite::sim::HotPathCounters c = corelite::sim::aggregated_hotpath_counters();
-    std::printf("\nhot-path profile (totals across all %zu runs)\n", runs.size());
-    std::printf("  exp calls            %12llu  (cache hits %llu, %.1f%%)\n",
-                static_cast<unsigned long long>(c.exp_calls),
-                static_cast<unsigned long long>(c.exp_cache_hits), c.exp_hit_rate() * 100.0);
-    std::printf("  pow calls            %12llu  (cache hits %llu, %.1f%%)\n",
-                static_cast<unsigned long long>(c.pow_calls),
-                static_cast<unsigned long long>(c.pow_cache_hits), c.pow_hit_rate() * 100.0);
-    std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
-    std::printf("  observer dispatches  %12llu\n",
-                static_cast<unsigned long long>(c.observer_dispatches));
-    std::printf("  series appends       %12llu\n",
-                static_cast<unsigned long long>(c.series_appends));
-    std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
-                static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
-                static_cast<unsigned long long>(c.heap_inserts),
-                static_cast<unsigned long long>(c.wheel_cascades));
-    std::printf("  batch drains         %12llu  (%llu completions fused, mean %.2f/drain)\n",
-                static_cast<unsigned long long>(c.batch_drains),
-                static_cast<unsigned long long>(c.batch_drained), c.mean_batch_len());
-    std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
-                static_cast<unsigned long long>(c.lp_barriers),
-                static_cast<unsigned long long>(c.cross_lp_events),
-                static_cast<unsigned long long>(c.mailbox_flushes));
+  if (parser.get_flag("profile")) {
+    tel::print_hotpath_profile("totals across all " + std::to_string(runs.size()) + " runs");
   }
 
   std::printf(
@@ -327,264 +235,168 @@ int main(int argc, char** argv) {
       "jain decays gently); measured core flow state stays 0 for the core-\n"
       "stateless schemes at every scale while WFQ's grows with the population\n"
       "— the paper's scalability argument.\n");
+  if (curve->empty()) return 0;
 
-  const std::size_t hw_threads = corelite::sim::par::ThreadBudget::hardware_threads();
-  if (!curve.empty()) {
-    phases.start("curve");
-    std::printf("\nScaling curve: gen-%s topology, corelite, %.1f s per row, %zu hw thread(s)\n",
-                curve_topo.c_str(), curve_duration, hw_threads);
-    std::printf("%-10s %-4s %-12s %-12s %-12s %-12s %-10s %-8s %-9s %-10s %-10s\n", "flows", "lp",
-                "wall[ms]", "events", "ev/s", "delivered", "drops", "jain", "speedup", "rss[MB]",
-                "peak[MB]");
-    std::vector<CurveRow> rows;
-    for (const std::size_t n : curve) {
-      double serial_wall_ms = 0.0;
-      for (const std::size_t lp : lps) {
-        rn::RunDescriptor d;
-        d.scenario = "gen-" + curve_topo + "-" + std::to_string(n);
-        d.mechanism = sc::Mechanism::Corelite;
-        d.duration_sec = curve_duration;
-        d.seed = rn::derive_seed(base_seed, 0);
-        d.lp = lp;
-        // Serial rows carry the convergence detector in observe-only
-        // mode: the packet results stay authoritative while the row
-        // records how much of its simulated time was fast-forwardable.
-        // The detector is serial, so lp > 1 rows skip it.
-        d.fluid_observe = lp <= 1;
-        const corelite::sim::HotPathCounters before = corelite::sim::aggregated_hotpath_counters();
-        const rn::RunResult r = rn::execute_run(d);
-        const corelite::sim::HotPathCounters after = corelite::sim::aggregated_hotpath_counters();
-        CurveRow row;
-        row.flows = n;
-        row.scenario = d.scenario;
-        row.lp = lp;
-        row.ok = r.ok;
-        if (!r.ok) {
-          std::printf("%-10zu run failed (scenario '%s')\n", n, d.scenario.c_str());
-          rows.push_back(std::move(row));
-          continue;
-        }
-        row.wall_ms = r.wall_ms;
-        row.events = r.events;
-        row.events_per_sec =
-            r.wall_ms > 0.0 ? static_cast<double>(r.events) / (r.wall_ms / 1e3) : 0.0;
-        row.events_per_flow = static_cast<double>(r.events) / static_cast<double>(n);
-        row.steady_state_fraction =
-            curve_duration > 0.0
-                ? (r.fluid_steady_sec + r.fluid_ff_sec) / curve_duration
-                : 0.0;
-        row.delivered = r.delivered;
-        row.drops = r.total_drops;
-        row.jain = r.jain;
-        row.rng_draws = after.rng_draws - before.rng_draws;
-        row.wheel_inserts = after.wheel_inserts - before.wheel_inserts;
-        row.series_appends = after.series_appends - before.series_appends;
-        row.lp_barriers = after.lp_barriers - before.lp_barriers;
-        row.cross_lp_events = after.cross_lp_events - before.cross_lp_events;
-        row.mailbox_flushes = after.mailbox_flushes - before.mailbox_flushes;
-        row.lookahead_ms = (after.lookahead_ns - before.lookahead_ns) / 1e6;
-        row.cross_lp_fraction =
-            row.events > 0 ? static_cast<double>(row.cross_lp_events) /
-                                 static_cast<double>(row.events)
-                           : 0.0;
-        if (lp <= 1) serial_wall_ms = r.wall_ms;
-        row.speedup_vs_serial =
-            serial_wall_ms > 0.0 && row.wall_ms > 0.0 ? serial_wall_ms / row.wall_ms : 0.0;
-        if (lp > 1) {
-          // Determinism witness: the digest is a function of (spec, lp
-          // count), never of the OS thread count — re-run the same row
-          // stepped on one thread and compare.
-          rn::RunDescriptor ds = d;
-          ds.lp_threads = 1;
-          const rn::RunResult rs = rn::execute_run(ds);
-          row.digest_match_serial_stepped = rs.ok && rs.digest == r.digest;
-          if (!row.digest_match_serial_stepped) {
-            std::fprintf(stderr,
-                         "DIGEST MISMATCH: %s lp=%zu auto-threads %016llx vs 1-thread %016llx\n",
-                         d.scenario.c_str(), lp, static_cast<unsigned long long>(r.digest),
-                         static_cast<unsigned long long>(rs.digest));
-            row.ok = false;
-          }
-        } else {
-          row.digest_match_serial_stepped = true;
-        }
-        row.rss_kb = current_rss_kb();
-        row.peak_kb = peak_rss_kb();
-        row.digest = r.digest;
-        std::printf(
-            "%-10zu %-4zu %-12.1f %-12llu %-12.3g %-12llu %-10llu %-8.4f %-9.2f %-10.1f %-10.1f\n",
-            n, lp, row.wall_ms, static_cast<unsigned long long>(row.events), row.events_per_sec,
-            static_cast<unsigned long long>(row.delivered),
-            static_cast<unsigned long long>(row.drops), row.jain, row.speedup_vs_serial,
-            static_cast<double>(row.rss_kb) / 1024.0, static_cast<double>(row.peak_kb) / 1024.0);
-        rows.push_back(std::move(row));
+  // ---- Scaling curve and fluid axis: one list, measured serially --------
+  // The curve runs every flow count once per LP count.  The fluid axis
+  // runs the count's steady variant (no churn, arrivals compressed into
+  // the first 5%), long enough that converged cruise dominates, first as
+  // a packet twin and then with jumps enabled.  Serial packet rows carry
+  // the convergence detector in observe-only mode: the packet results
+  // stay authoritative while the row records how much of its simulated
+  // time was fast-forwardable, and the twin carries the same detector
+  // workload as its fluid row, so the fluid speedup isolates event
+  // elision.  The detector is serial, so lp > 1 rows skip it.
+  std::vector<rn::RunDescriptor> plan;
+  const auto add_row = [&](const std::string& scenario, std::size_t flows, double duration,
+                           std::size_t lp, bool fluid) {
+    rn::SweepGrid grid;
+    grid.scenarios = {scenario};
+    grid.base_seed = base_seed;
+    grid.duration_sec = duration;
+    grid.num_flows = flows;
+    grid.lp = lp;
+    grid.fluid = fluid;
+    for (rn::RunDescriptor d : rn::expand_grid(grid)) {
+      d.fluid_observe = !fluid && lp <= 1;
+      plan.push_back(std::move(d));
+    }
+  };
+  const std::string prefix = "gen-" + curve_topo + "-";
+  for (const std::size_t n : *curve) {
+    for (const std::size_t lp : *lps) {
+      add_row(prefix + std::to_string(n), n, curve_duration, lp, false);
+    }
+  }
+  if (!parser.get_flag("no-fluid-axis")) {
+    for (const std::size_t n : *curve) {
+      for (const bool fluid : {false, true}) {
+        add_row(prefix + std::to_string(n) + "-steady", n, fluid_duration, 1, fluid);
       }
     }
+  }
 
-    // ---- Fluid fast-forward axis -------------------------------------
-    // Same flow counts on the steady variant of the generated scenario
-    // (no churn, arrivals compressed into the first 5%), long enough
-    // that converged cruise dominates — the regime the hybrid engine is
-    // for.  Each count runs twice: a packet baseline with the detector
-    // in observe-only mode (so the row's steady fraction is measured by
-    // the identical detector workload the fluid row carries — the
-    // speedup isolates event elision, not detector overhead), then the
-    // same scenario with jumps enabled.
-    if (fluid_axis) {
-      phases.start("fluid");
+  const std::size_t hw_threads = sim::par::ThreadBudget::hardware_threads();
+  std::printf("\nScaling curve (gen-%s, %.1f s per row) and fluid axis (gen-%s-*-steady, %.1f s "
+              "per row): corelite, %zu hw thread(s)\n",
+              curve_topo.c_str(), curve_duration, curve_topo.c_str(), fluid_duration, hw_threads);
+  std::printf("%-24s %-4s %-7s %-12s %-12s %-10s %-12s %-10s %-8s %-8s %-6s %-8s %-8s %-8s %-8s\n",
+              "scenario", "lp", "mode", "wall[ms]", "events", "ev/s", "delivered", "drops",
+              "jain", "ff[s]", "jumps", "steady%", "speedup", "rss[MB]", "peak[MB]");
+  std::vector<CurveRow> rows;
+  for (const rn::RunDescriptor& d : plan) {
+    CurveRow row;
+    sim::reset_hotpath_counters();
+    row.r = rn::execute_run(d);
+    row.ops = sim::aggregated_hotpath_counters();
+    row.ok = row.r.ok;
+    if (row.ok && d.lp > 1) {
+      // Determinism witness: the digest is a function of (spec, lp
+      // count), never of the OS thread count — re-run the same row
+      // stepped on one thread and compare.
+      rn::RunDescriptor stepped = d;
+      stepped.lp_threads = 1;
+      const rn::RunResult rs = rn::execute_run(stepped);
+      row.ok = rs.ok && rs.digest == row.r.digest;
+      if (!row.ok) {
+        std::fprintf(stderr, "DIGEST MISMATCH: %s lp=%zu auto-threads %s vs 1-thread %s\n",
+                     d.scenario.c_str(), d.lp, tel::digest_hex(row.r.digest).c_str(),
+                     tel::digest_hex(rs.digest).c_str());
+      }
+    }
+    row.rss_kb = current_rss_kb();
+    row.peak_kb = peak_rss_kb();
+    // Baseline: this scenario's serial packet row, which may be this one.
+    double base_wall_ms = d.lp <= 1 && !d.fluid ? row.r.wall_ms : 0.0;
+    for (const CurveRow& b : rows) {
+      if (b.r.desc.scenario == d.scenario && b.r.desc.lp <= 1 && !b.r.desc.fluid) {
+        base_wall_ms = b.r.wall_ms;
+      }
+    }
+    if (base_wall_ms > 0.0 && row.r.wall_ms > 0.0) row.speedup = base_wall_ms / row.r.wall_ms;
+    const rn::RunResult& r = row.r;
+    if (!r.ok) {
+      std::printf("%-24s run failed\n", d.scenario.c_str());
+    } else {
       std::printf(
-          "\nFluid fast-forward axis: gen-%s-*-steady, corelite, %.1f s per row\n",
-          curve_topo.c_str(), fluid_duration);
-      std::printf("%-10s %-7s %-12s %-12s %-9s %-8s %-9s %-8s %-12s\n", "flows", "mode",
-                  "wall[ms]", "events", "ff[s]", "jumps", "steady%", "jain", "speedup");
-      for (const std::size_t n : curve) {
-        rn::RunDescriptor d;
-        d.scenario = "gen-" + curve_topo + "-" + std::to_string(n) + "-steady";
-        d.mechanism = sc::Mechanism::Corelite;
-        d.duration_sec = fluid_duration;
-        d.seed = rn::derive_seed(base_seed, 0);
-        d.lp = 1;
-        double packet_wall_ms = 0.0;
-        for (const bool fluid_on : {false, true}) {
-          rn::RunDescriptor df = d;
-          df.fluid = fluid_on;
-          df.fluid_observe = !fluid_on;
-          const rn::RunResult r = rn::execute_run(df);
-          CurveRow row;
-          row.flows = n;
-          row.scenario = df.scenario;
-          row.lp = 1;
-          row.fluid = fluid_on;
-          row.ok = r.ok;
-          if (!r.ok) {
-            std::printf("%-10zu %-7s run failed (scenario '%s')\n", n,
-                        fluid_on ? "fluid" : "packet", df.scenario.c_str());
-            rows.push_back(std::move(row));
-            continue;
-          }
-          row.wall_ms = r.wall_ms;
-          row.events = r.events;
-          row.events_per_sec =
-              r.wall_ms > 0.0 ? static_cast<double>(r.events) / (r.wall_ms / 1e3) : 0.0;
-          row.events_per_flow = static_cast<double>(r.events) / static_cast<double>(n);
-          row.steady_state_fraction =
-              fluid_duration > 0.0
-                  ? (r.fluid_steady_sec + r.fluid_ff_sec) / fluid_duration
-                  : 0.0;
-          row.fluid_ff_sec = r.fluid_ff_sec;
-          row.fluid_jumps = r.fluid_jumps;
-          row.fluid_events_elided = r.fluid_events_elided;
-          row.cert_attempts = r.cert_attempts;
-          row.cert_rejects_min_skip = r.cert_rejects_min_skip;
-          row.cert_rejects_drift = r.cert_rejects_drift;
-          row.cert_rejects_agreement = r.cert_rejects_agreement;
-          row.cert_mean_dwell_at_accept = r.cert_mean_dwell_at_accept;
-          row.delivered = r.delivered;
-          row.drops = r.total_drops;
-          row.jain = r.jain;
-          row.digest_match_serial_stepped = true;
-          row.rss_kb = current_rss_kb();
-          row.peak_kb = peak_rss_kb();
-          row.digest = r.digest;
-          if (!fluid_on) packet_wall_ms = r.wall_ms;
-          row.speedup_vs_packet = fluid_on && packet_wall_ms > 0.0 && row.wall_ms > 0.0
-                                      ? packet_wall_ms / row.wall_ms
-                                      : 0.0;
-          std::printf("%-10zu %-7s %-12.1f %-12llu %-9.1f %-8llu %-9.1f %-8.4f %-12.2f\n", n,
-                      fluid_on ? "fluid" : "packet", row.wall_ms,
-                      static_cast<unsigned long long>(row.events), row.fluid_ff_sec,
-                      static_cast<unsigned long long>(row.fluid_jumps),
-                      row.steady_state_fraction * 100.0, row.jain, row.speedup_vs_packet);
-          rows.push_back(std::move(row));
-        }
-      }
+          "%-24s %-4zu %-7s %-12.1f %-12llu %-10.3g %-12llu %-10llu %-8.4f %-8.1f %-6llu %-8.1f "
+          "%-8.2f %-8.1f %-8.1f\n",
+          d.scenario.c_str(), d.lp, d.fluid ? "fluid" : "packet", r.wall_ms,
+          static_cast<unsigned long long>(r.events),
+          r.wall_ms > 0.0 ? static_cast<double>(r.events) / (r.wall_ms / 1e3) : 0.0,
+          static_cast<unsigned long long>(r.delivered),
+          static_cast<unsigned long long>(r.total_drops), r.jain, r.fluid_ff_sec,
+          static_cast<unsigned long long>(r.fluid_jumps),
+          (r.fluid_steady_sec + r.fluid_ff_sec) / d.duration_sec * 100.0, row.speedup,
+          static_cast<double>(row.rss_kb) / 1024.0, static_cast<double>(row.peak_kb) / 1024.0);
     }
-
-    std::FILE* f = std::fopen("BENCH_scale.json", "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_scale.json\n");
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"scale_flows_curve\",\n");
-    std::fprintf(f, "  \"topology\": \"%s\",\n", curve_topo.c_str());
-    std::fprintf(f, "  \"mechanism\": \"corelite\",\n");
-    std::fprintf(f, "  \"duration_sec\": %.6g,\n", curve_duration);
-    std::fprintf(f, "  \"base_seed\": %llu,\n", static_cast<unsigned long long>(base_seed));
-    std::fprintf(f, "  \"hw_threads\": %zu,\n", hw_threads);
-    std::fprintf(f, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const CurveRow& row = rows[i];
-      std::fprintf(f,
-                   "    {\"flows\": %zu, \"scenario\": \"%s\", \"lp\": %zu, \"hw_threads\": %zu, "
-                   "\"fluid\": %s, \"ok\": %s, \"wall_ms\": %.3f, "
-                   "\"events\": %llu, \"events_per_sec\": %.6g, \"events_per_flow\": %.6g, "
-                   "\"steady_state_fraction\": %.6g, \"fluid_ff_sec\": %.6g, "
-                   "\"fluid_jumps\": %llu, \"fluid_events_elided\": %llu, "
-                   "\"cert_attempts\": %llu, \"cert_rejects_min_skip\": %llu, "
-                   "\"cert_rejects_drift\": %llu, \"cert_rejects_agreement\": %llu, "
-                   "\"cert_mean_dwell_at_accept\": %.6g, "
-                   "\"speedup_vs_packet\": %.3f, \"delivered\": %llu, "
-                   "\"drops\": %llu, \"jain\": %.6f, \"rng_draws\": %llu, "
-                   "\"wheel_inserts\": %llu, \"series_appends\": %llu, "
-                   "\"lp_barriers\": %llu, \"cross_lp_events\": %llu, "
-                   "\"mailbox_flushes\": %llu, \"lookahead_ms\": %.6g, "
-                   "\"cross_lp_fraction\": %.6g, \"speedup_vs_serial\": %.3f, "
-                   "\"digest_match_serial_stepped\": %s, \"rss_kb\": %ld, "
-                   "\"peak_rss_kb\": %ld, \"digest\": \"%s\"}%s\n",
-                   row.flows, row.scenario.c_str(), row.lp, hw_threads,
-                   row.fluid ? "true" : "false", row.ok ? "true" : "false", row.wall_ms,
-                   static_cast<unsigned long long>(row.events), row.events_per_sec,
-                   row.events_per_flow, row.steady_state_fraction, row.fluid_ff_sec,
-                   static_cast<unsigned long long>(row.fluid_jumps),
-                   static_cast<unsigned long long>(row.fluid_events_elided),
-                   static_cast<unsigned long long>(row.cert_attempts),
-                   static_cast<unsigned long long>(row.cert_rejects_min_skip),
-                   static_cast<unsigned long long>(row.cert_rejects_drift),
-                   static_cast<unsigned long long>(row.cert_rejects_agreement),
-                   row.cert_mean_dwell_at_accept,
-                   row.speedup_vs_packet,
-                   static_cast<unsigned long long>(row.delivered),
-                   static_cast<unsigned long long>(row.drops), row.jain,
-                   static_cast<unsigned long long>(row.rng_draws),
-                   static_cast<unsigned long long>(row.wheel_inserts),
-                   static_cast<unsigned long long>(row.series_appends),
-                   static_cast<unsigned long long>(row.lp_barriers),
-                   static_cast<unsigned long long>(row.cross_lp_events),
-                   static_cast<unsigned long long>(row.mailbox_flushes), row.lookahead_ms,
-                   row.cross_lp_fraction, row.speedup_vs_serial,
-                   row.digest_match_serial_stepped ? "true" : "false", row.rss_kb, row.peak_kb,
-                   tel::digest_hex(row.digest).c_str(), i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_scale.json (%zu rows)\n", rows.size());
-    bool any_failed = false;
-    for (const CurveRow& row : rows) any_failed = any_failed || !row.ok;
-    if (any_failed) return 1;
+    rows.push_back(std::move(row));
   }
 
-  if (telemetry) {
-    const std::uint64_t digest = rn::combined_digest(results);
-    std::printf("result digest: %s\n", tel::digest_hex(digest).c_str());
-    if (!trace_path.empty()) {
-      tel::add_wall_spans(trace, results);
-      if (!tel::write_trace_file(trace, trace_path, std::cerr)) return 1;
-    }
-    phases.stop();
-    tel::RunManifest manifest;
-    manifest.tool = "scale_flows";
-    manifest.scenario = "fig5";
-    manifest.mechanism = "corelite,csfq,wfq";
-    manifest.base_seed = base_seed;
-    manifest.runs = results.size();
-    manifest.jobs = jobs;
-    for (const auto& r : results) manifest.events += r.events;
-    manifest.result_digest = digest;
-    manifest.hotpath = corelite::sim::aggregated_hotpath_counters();
-    manifest.wall_phases_ms = phases.phases();
-    if (!trace_path.empty()) manifest.extra.emplace_back("trace", trace_path);
-    if (!tel::write_manifest_file(manifest, manifest_path, std::cerr)) return 1;
+  std::FILE* f = std::fopen("BENCH_scale.json", "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write BENCH_scale.json\n");
+    return 1;
   }
-  return 0;
+  std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"bench\": \"scale_flows_curve\",\n");
+  std::fprintf(f, "  \"topology\": \"%s\",\n", curve_topo.c_str());
+  std::fprintf(f, "  \"mechanism\": \"corelite\",\n");
+  std::fprintf(f, "  \"duration_sec\": %.6g,\n", curve_duration);
+  std::fprintf(f, "  \"base_seed\": %llu,\n", static_cast<unsigned long long>(base_seed));
+  std::fprintf(f, "  \"hw_threads\": %zu,\n", hw_threads);
+  std::fprintf(f, "  \"rows\": [\n");
+  bool any_failed = false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const CurveRow& row = rows[i];
+    const rn::RunResult& r = row.r;
+    const sim::HotPathCounters& ops = row.ops;
+    any_failed = any_failed || !row.ok;
+    const double events = static_cast<double>(r.events);
+    std::fprintf(f,
+                 "    {\"flows\": %zu, \"scenario\": \"%s\", \"lp\": %zu, \"hw_threads\": %zu, "
+                 "\"fluid\": %s, \"ok\": %s, \"wall_ms\": %.3f, "
+                 "\"events\": %llu, \"events_per_sec\": %.6g, \"events_per_flow\": %.6g, "
+                 "\"steady_state_fraction\": %.6g, \"fluid_ff_sec\": %.6g, "
+                 "\"fluid_jumps\": %llu, \"fluid_events_elided\": %llu, "
+                 "\"cert_attempts\": %llu, \"cert_rejects_min_skip\": %llu, "
+                 "\"cert_rejects_drift\": %llu, \"cert_rejects_agreement\": %llu, "
+                 "\"cert_mean_dwell_at_accept\": %.6g, "
+                 "\"speedup_vs_packet\": %.3f, \"delivered\": %llu, "
+                 "\"drops\": %llu, \"jain\": %.6f, \"rng_draws\": %llu, "
+                 "\"wheel_inserts\": %llu, \"series_appends\": %llu, "
+                 "\"lp_barriers\": %llu, \"cross_lp_events\": %llu, "
+                 "\"mailbox_flushes\": %llu, \"lookahead_ms\": %.6g, "
+                 "\"cross_lp_fraction\": %.6g, \"speedup_vs_serial\": %.3f, "
+                 "\"digest_match_serial_stepped\": %s, \"rss_kb\": %ld, "
+                 "\"peak_rss_kb\": %ld, \"digest\": \"%s\"}%s\n",
+                 r.desc.num_flows, r.desc.scenario.c_str(), r.desc.lp, hw_threads,
+                 r.desc.fluid ? "true" : "false", row.ok ? "true" : "false", r.wall_ms,
+                 static_cast<unsigned long long>(r.events),
+                 r.wall_ms > 0.0 ? events / (r.wall_ms / 1e3) : 0.0,
+                 events / static_cast<double>(r.desc.num_flows),
+                 (r.fluid_steady_sec + r.fluid_ff_sec) / r.desc.duration_sec, r.fluid_ff_sec,
+                 static_cast<unsigned long long>(r.fluid_jumps),
+                 static_cast<unsigned long long>(r.fluid_events_elided),
+                 static_cast<unsigned long long>(r.cert_attempts),
+                 static_cast<unsigned long long>(r.cert_rejects_min_skip),
+                 static_cast<unsigned long long>(r.cert_rejects_drift),
+                 static_cast<unsigned long long>(r.cert_rejects_agreement),
+                 r.cert_mean_dwell_at_accept, r.desc.fluid ? row.speedup : 0.0,
+                 static_cast<unsigned long long>(r.delivered),
+                 static_cast<unsigned long long>(r.total_drops), r.jain,
+                 static_cast<unsigned long long>(ops.rng_draws),
+                 static_cast<unsigned long long>(ops.wheel_inserts),
+                 static_cast<unsigned long long>(ops.series_appends),
+                 static_cast<unsigned long long>(ops.lp_barriers),
+                 static_cast<unsigned long long>(ops.cross_lp_events),
+                 static_cast<unsigned long long>(ops.mailbox_flushes), ops.lookahead_ns / 1e6,
+                 events > 0.0 ? static_cast<double>(ops.cross_lp_events) / events : 0.0,
+                 r.desc.fluid ? 0.0 : row.speedup, row.ok ? "true" : "false", row.rss_kb,
+                 row.peak_kb, tel::digest_hex(r.digest).c_str(), i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote BENCH_scale.json (%zu rows)\n", rows.size());
+  return any_failed ? 1 : 0;
 }

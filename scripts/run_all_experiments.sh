@@ -8,9 +8,9 @@
 # is installed, also renders the paper-style figures from the exported
 # CSVs.
 #
-# JOBS controls parallelism (default: nproc).  Bench binaries that
-# understand the sweep runner (scale_flows, sweep_harness) get it as
-# --jobs; the remaining benches are launched JOBS at a time.  `ablations`
+# JOBS controls parallelism (default: nproc).  scale_flows runs its
+# population grid on the sweep runner and gets it as --jobs; the
+# remaining benches are launched JOBS at a time.  `ablations`
 # runs with no argument, so ablations.txt holds every entry of the
 # ablation table (EXPERIMENTS.md's ablation sections).  Every bench is a
 # self-contained deterministic process, so outputs are identical at any
@@ -33,8 +33,8 @@ for b in "$BUILD_DIR"/bench/*; do
   name="$(basename "$b")"
   echo "-- $name"
   case "$name" in
-    scale_flows|sweep_harness)
-      # These parallelize internally via the sweep runner.
+    scale_flows)
+      # Parallelizes its population grid internally via the sweep runner.
       "$b" --jobs "$JOBS" >"$OUT_DIR/$name.txt" 2>&1
       ;;
     *)

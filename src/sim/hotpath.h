@@ -6,7 +6,8 @@
 // tell a regression in one of these from machine noise, so the hot
 // paths bump these counters unconditionally — the increments are plain
 // thread-local adds, cheap enough to keep compiled into release builds
-// — and `corelite_sim --profile` / bench/scale_flows surface them.
+// — and `--profile` on corelite_sim and bench/scale_flows prints them
+// (telemetry::print_hotpath_profile).
 //
 // Threading: each thread accumulates into its own thread-local block
 // (no synchronization on the hot path).  A thread that finishes a unit

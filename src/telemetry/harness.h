@@ -1,5 +1,5 @@
 // Header-only glue between the telemetry layer and the experiment
-// binaries (corelite_sim, sweep_harness, scale_flows).
+// binaries (corelite_sim, scale_flows).
 //
 // Kept out of corelite_telemetry proper because it needs the scenario
 // and runner types (PaperTopology, RunResult) and the library must stay
@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -17,6 +18,7 @@
 #include "runner/sweep.h"
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
+#include "sim/hotpath.h"
 #include "telemetry/manifest.h"
 #include "telemetry/trace.h"
 #include "telemetry/virtual_trace.h"
@@ -117,6 +119,37 @@ inline bool write_manifest_file(const RunManifest& manifest, const std::string& 
   write_manifest(os, manifest);
   err << "wrote " << path << "\n";
   return true;
+}
+
+/// --profile: print the always-on hot-path op counters, aggregated
+/// across every run (and every sweep worker thread) this process has
+/// executed so far, under the heading "hot-path profile (<scope>)".
+inline void print_hotpath_profile(const std::string& scope) {
+  const sim::HotPathCounters c = sim::aggregated_hotpath_counters();
+  std::printf("\nhot-path profile (%s)\n", scope.c_str());
+  std::printf("  exp calls            %12llu  (cache hits %llu, %.1f%%)\n",
+              static_cast<unsigned long long>(c.exp_calls),
+              static_cast<unsigned long long>(c.exp_cache_hits), c.exp_hit_rate() * 100.0);
+  std::printf("  pow calls            %12llu  (cache hits %llu, %.1f%%)\n",
+              static_cast<unsigned long long>(c.pow_calls),
+              static_cast<unsigned long long>(c.pow_cache_hits), c.pow_hit_rate() * 100.0);
+  std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
+  std::printf("  observer dispatches  %12llu\n",
+              static_cast<unsigned long long>(c.observer_dispatches));
+  std::printf("  series appends       %12llu\n",
+              static_cast<unsigned long long>(c.series_appends));
+  std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
+              static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
+              static_cast<unsigned long long>(c.heap_inserts),
+              static_cast<unsigned long long>(c.wheel_cascades));
+  std::printf("  batch drains         %12llu  (%llu completions fused, mean %.2f/drain)\n",
+              static_cast<unsigned long long>(c.batch_drains),
+              static_cast<unsigned long long>(c.batch_drained), c.mean_batch_len());
+  std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
+              static_cast<unsigned long long>(c.lp_barriers),
+              static_cast<unsigned long long>(c.cross_lp_events),
+              static_cast<unsigned long long>(c.mailbox_flushes));
+  std::printf("  lp lookahead         %12.3f ms\n", c.lookahead_ns / 1e6);
 }
 
 }  // namespace corelite::telemetry

@@ -20,6 +20,12 @@ gets its own per-run digest, so a change that moves one wiring path
 (one queue discipline, one topology family, the LP partition, one
 adaptation policy, the script conversion) names the cell it moved.
 
+Four sweep cells pin the combined digest of the paper matrix (fig3/5/7/9
+x all nine mechanisms) run as one `--sweep` grid on four jobs: at --lp 1,
+2 and 4, and with two repeats under --fluid.  They cover the sweep
+runner, the --lp 4 partition and the fluid jumps, which no per-run cell
+does.
+
 The fluid machinery is compiled into the binary but disabled by default;
 any digest drift here means fluid-off is no longer bit-identical to the
 pure packet engine — the single most important invariant of the hybrid
@@ -71,27 +77,39 @@ VARIANTS = [
 ]
 
 
+SWEEP_GRID = ["--jobs", "4", "--sweep-scenarios", "fig3,fig5,fig7,fig9",
+              "--sweep-mechanisms", ",".join(MECHANISMS), "--quiet"]
+SWEEPS = [
+    *((f"sweep/lp{lp}", ["--sweep", "1", "--lp", str(lp)]) for lp in (1, 2, 4)),
+    ("sweep/fluid", ["--sweep", "2", "--fluid"]),
+]
+
+
 def cell_key(scenario, mechanism, lp):
     key = f"{scenario}/{mechanism}"
     return key if lp == 1 else f"{key}/lp{lp}"
 
 
 def cells():
-    """(key, scenario-source CLI args, mechanism, lp) for every pinned cell."""
+    """(key, corelite_sim arguments) for every pinned cell."""
     for scenario, source in SCENARIOS:
         for mechanism in MECHANISMS:
             for lp in LPS:
-                yield cell_key(scenario, mechanism, lp), source, mechanism, lp
+                yield (cell_key(scenario, mechanism, lp),
+                       [*source, "--mechanism", mechanism, "--lp", str(lp)])
     for scenario, mechanism, option, value in VARIANTS:
         yield (f"{scenario}/{mechanism}/{option}-{value}",
-               ["--scenario", scenario, f"--{option}", value], mechanism, 1)
+               ["--scenario", scenario, f"--{option}", value,
+                "--mechanism", mechanism, "--lp", "1"])
+    for key, args in SWEEPS:
+        yield key, [*args, *SWEEP_GRID]
 
 
-def run_digest(binary, key, source, mechanism, lp, workdir):
+def run_digest(binary, key, args, workdir):
     # The digest line only prints under --telemetry; the run manifest it
     # also writes lands in the scratch working directory.
     out = subprocess.run(
-        [binary, *source, "--mechanism", mechanism, "--lp", str(lp), "--telemetry"],
+        [binary, *args, "--telemetry"],
         check=True, capture_output=True, text=True, cwd=workdir).stdout
     m = re.search(r"result digest: ([0-9a-f]+)", out)
     if not m:
@@ -110,8 +128,8 @@ def main():
     manifest = json.loads(MANIFEST.read_text())
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
-        for key, source, mechanism, lp in cells():
-            got = run_digest(binary, key, source, mechanism, lp, workdir)
+        for key, cell_args in cells():
+            got = run_digest(binary, key, cell_args, workdir)
             if args.update:
                 manifest[key] = got
                 print(f"{key:34s} {got}")

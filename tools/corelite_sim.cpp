@@ -173,36 +173,6 @@ void render_audit_outcome(const tel::FairnessAuditReport* fairness,
   }
 }
 
-// --profile: the always-on hot-path op counters, aggregated across every
-// run (and every sweep worker thread) this process executed.
-void print_hotpath_profile() {
-  const corelite::sim::HotPathCounters c = corelite::sim::aggregated_hotpath_counters();
-  std::printf("\nhot-path profile (process totals)\n");
-  std::printf("  exp calls            %12llu  (cache hits %llu, %.1f%%)\n",
-              static_cast<unsigned long long>(c.exp_calls),
-              static_cast<unsigned long long>(c.exp_cache_hits), c.exp_hit_rate() * 100.0);
-  std::printf("  pow calls            %12llu  (cache hits %llu, %.1f%%)\n",
-              static_cast<unsigned long long>(c.pow_calls),
-              static_cast<unsigned long long>(c.pow_cache_hits), c.pow_hit_rate() * 100.0);
-  std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
-  std::printf("  observer dispatches  %12llu\n",
-              static_cast<unsigned long long>(c.observer_dispatches));
-  std::printf("  series appends       %12llu\n",
-              static_cast<unsigned long long>(c.series_appends));
-  std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
-              static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(c.heap_inserts),
-              static_cast<unsigned long long>(c.wheel_cascades));
-  std::printf("  batch drains         %12llu  (%llu completions fused, mean %.2f/drain)\n",
-              static_cast<unsigned long long>(c.batch_drains),
-              static_cast<unsigned long long>(c.batch_drained), c.mean_batch_len());
-  std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
-              static_cast<unsigned long long>(c.lp_barriers),
-              static_cast<unsigned long long>(c.cross_lp_events),
-              static_cast<unsigned long long>(c.mailbox_flushes));
-  std::printf("  lp lookahead         %12.3f ms\n", c.lookahead_ns / 1e6);
-}
-
 // Sweep mode: seed × scenario × mechanism grid on a worker pool.
 int run_sweep(const corelite::cli::ArgParser& parser) {
   if (!corelite::cli::sweep_args_valid(parser, std::cerr)) return 2;
@@ -351,7 +321,7 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
     corelite::stats::write_sweep_csv(os, cells);
     std::fprintf(stderr, "wrote %s\n", parser.get_string("sweep-csv").c_str());
   }
-  if (parser.get_flag("profile")) print_hotpath_profile();
+  if (parser.get_flag("profile")) tel::print_hotpath_profile("process totals");
 
   const tel::FairnessAuditReport* fairness =
       !results.empty() && results[0].audit ? results[0].audit.get() : nullptr;
@@ -545,7 +515,7 @@ int main(int argc, char** argv) {
     corelite::stats::write_run_json(os, meta, result.tracker);
     std::fprintf(stderr, "wrote %s\n", parser.get_string("json").c_str());
   }
-  if (parser.get_flag("profile")) print_hotpath_profile();
+  if (parser.get_flag("profile")) tel::print_hotpath_profile("process totals");
 
   if (audit.on) {
     tel::AuditDocument doc;
