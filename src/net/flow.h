@@ -58,14 +58,15 @@ struct FlowSpec {
   /// broken edge.
   double flood_pps = 0.0;
 
-  /// Construction-time validation: finite positive weight, non-negative
-  /// min rate and flood rate, well-formed activity windows.  Edge
-  /// routers assert this on add_flow; generators and script parsers
-  /// reject specs failing it.
+  /// Construction-time validation: a set id (kInvalidFlow is the
+  /// unset default and the edge index's empty-slot key), finite positive
+  /// weight, non-negative min rate and flood rate, well-formed activity
+  /// windows.  Edge routers assert this on add_flow; generators and
+  /// script parsers reject specs failing it.
   [[nodiscard]] bool valid() const {
-    return std::isfinite(weight) && weight > 0.0 && std::isfinite(min_rate_pps) &&
-           min_rate_pps >= 0.0 && std::isfinite(flood_pps) && flood_pps >= 0.0 &&
-           valid_activity_windows(active);
+    return id != kInvalidFlow && std::isfinite(weight) && weight > 0.0 &&
+           std::isfinite(min_rate_pps) && min_rate_pps >= 0.0 && std::isfinite(flood_pps) &&
+           flood_pps >= 0.0 && valid_activity_windows(active);
   }
 
   /// O(log W) over the sorted disjoint windows: locate the last window

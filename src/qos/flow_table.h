@@ -6,13 +6,17 @@
 //   - the records, in one address-stable slab: emission and lifecycle
 //     events capture Flow&, and std::deque never moves an element on
 //     emplace_back, while allocating records a block at a time;
-//   - a dense id index, so per-packet lookups are an array index;
+//   - an id index sized by this edge's own flows (open addressing over
+//     slab positions, at most half full), so a lookup is O(1) and the
+//     index costs at most 32 B per flow (128 B minimum) however many
+//     edges share the global id space;
 //   - the set of active flows with O(1) swap-removal, so per-epoch
 //     bookkeeping is O(active);
 //   - the lazy activity-window cursor.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +26,7 @@
 
 #include "net/flow.h"
 #include "net/network.h"
+#include "net/types.h"
 #include "qos/rate_controller.h"
 #include "sim/fluid/warp.h"
 
@@ -63,22 +68,30 @@ class FlowTable {
   void set_fluid_warp(sim::fluid::TimeWarp* warp) { warp_ = warp; }
 
   /// Construct a record in the slab, index it by id and schedule its
-  /// first activity window.
+  /// first activity window.  The id must be valid (FlowSpec::valid()).
   template <class... Args>
   Flow& add(Args&&... args) {
     Flow& fs = flows_.emplace_back(std::forward<Args>(args)...);
-    const net::FlowId id = fs.spec.id;
-    if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
-    assert(by_id_[id] == nullptr && "duplicate flow id");
-    by_id_[id] = &fs;
+    assert(fs.spec.id != net::kInvalidFlow && "kInvalidFlow marks empty index slots");
+    assert(find(fs.spec.id) == kNone && "duplicate flow id");
+    if (2 * flows_.size() > slots_.size()) rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    insert({fs.spec.id, static_cast<std::uint32_t>(flows_.size() - 1)});
     schedule_window(fs, 0);
     return fs;
   }
 
-  /// Dense id-indexed lookup; nullptr for unknown flows.
-  [[nodiscard]] Flow* lookup(net::FlowId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
+  /// O(1) id lookup; nullptr for flows this edge does not carry.
+  [[nodiscard]] Flow* lookup(net::FlowId id) {
+    const std::uint32_t rec = find(id);
+    return rec == kNone ? nullptr : &flows_[rec];
   }
+  [[nodiscard]] const Flow* lookup(net::FlowId id) const {
+    const std::uint32_t rec = find(id);
+    return rec == kNone ? nullptr : &flows_[rec];
+  }
+
+  /// Bytes held by the id index (not the records).
+  [[nodiscard]] std::size_t index_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
   [[nodiscard]] const std::vector<Flow*>& active() const { return active_; }
 
@@ -120,6 +133,47 @@ class FlowTable {
   }
 
  private:
+  /// An index slot: a flow id and its record's position in the slab;
+  /// kInvalidFlow marks an empty slot.
+  struct Slot {
+    net::FlowId id = net::kInvalidFlow;
+    std::uint32_t rec = 0;
+  };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// Home slot: Fibonacci hashing spreads an edge's (strided, clustered)
+  /// share of the global ids over the power-of-two table.
+  [[nodiscard]] std::size_t home(net::FlowId id) const {
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  /// Linear probing; the table is at most half full, so a run of
+  /// occupied slots always ends at an empty one.
+  [[nodiscard]] std::uint32_t find(net::FlowId id) const {
+    if (slots_.empty()) return kNone;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(id);; i = (i + 1) & mask) {
+      if (slots_[i].id == net::kInvalidFlow) return kNone;
+      if (slots_[i].id == id) return slots_[i].rec;
+    }
+  }
+
+  void insert(Slot s) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(s.id);
+    while (slots_[i].id != net::kInvalidFlow) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+
+  void rehash(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& s : old) {
+      if (s.id != net::kInvalidFlow) insert(s);
+    }
+  }
+
   // Lazy lifecycle cursor: only the next transition of each flow sits in
   // the event queue (a 100k-flow churn population would otherwise park
   // two events per window up front).  Each window still costs exactly
@@ -166,7 +220,8 @@ class FlowTable {
   net::NodeId node_;
   sim::fluid::TimeWarp* warp_ = nullptr;
   std::deque<Flow> flows_;
-  std::vector<Flow*> by_id_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  int shift_ = 64;           ///< 64 - log2(slots_.size())
   std::vector<Flow*> active_;
 };
 

@@ -220,8 +220,13 @@ bool active_at(const std::vector<net::ActiveInterval>& windows, double t_sec) {
   return false;
 }
 
+/// `flows` is read only while wiring: every component that needs a
+/// flow's fields past that point keeps its own copy (the edges' FlowSpec,
+/// the tracker's weight, the fluid controller's and auditor's entries)
+/// or, like the auditor's activity oracle, takes it over, so the
+/// population is freed before the run starts.
 ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& topo,
-                            const std::vector<GenFlow>& flows, bool record_series) {
+                            std::vector<GenFlow> flows, bool record_series) {
   assert(topo.routers > 0 && topo.connected() && "topology must be connected");
   const MechanismRow& row = mechanism_row(spec.mechanism);
 
@@ -506,15 +511,16 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
       audit_flows.push_back(
           {flows[fi].id, flows[fi].weight, sets.links[fi], min_rate_of(spec, flows[fi].id)});
     }
-    // Activity oracle straight off the flows' windows (`flows` outlives
-    // the run; ids are 1-based and unique by construction) — the same
-    // ground truth the edges schedule from.
-    std::vector<const std::vector<net::ActiveInterval>*> act_of(flows.size() + 1, nullptr);
-    for (const GenFlow& f : flows) {
-      if (f.id < act_of.size()) act_of[f.id] = &f.windows;
+    // Activity oracle over the flows' windows — the same ground truth
+    // the edges schedule from.  It takes the windows over from the
+    // population, which is freed below (ids are 1-based and unique by
+    // construction; an id the oracle does not know counts as active).
+    std::vector<std::vector<net::ActiveInterval>> act_of(flows.size() + 1);
+    for (GenFlow& f : flows) {
+      if (f.id < act_of.size()) act_of[f.id] = std::move(f.windows);
     }
     auto active_fn = [act_of = std::move(act_of)](net::FlowId id, double t_sec) {
-      return id >= act_of.size() || act_of[id] == nullptr || active_at(*act_of[id], t_sec);
+      return id >= act_of.size() || active_at(act_of[id], t_sec);
     };
     auditor = std::make_unique<telemetry::FairnessAuditor>(
         audit_cfg, tracker, sets.caps, std::move(audit_flows), std::move(active_fn));
@@ -539,6 +545,10 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
       aud->on_window(simulator.exp_now());
     }));
   }
+
+  // Wiring is done: free the setup-only population before the run (on
+  // gen-pl8-100000 its records and window lists hold about 12 MB).
+  std::vector<GenFlow>{}.swap(flows);
 
   // Telemetry hook last, so collectors see the fully wired network.
   // Collector callbacks are not thread-safe, so the hook is serial-only.
@@ -634,7 +644,9 @@ std::vector<GenFlow> paper_flows(const ScenarioSpec& spec, const GeneratedTopolo
 /// Call f(topology, flows, record_series) with the network description
 /// and flow population `spec` runs: the generated topology and its fixed
 /// flow list or a population generated from spec.seed, or the paper
-/// chain and the spec's own flows.
+/// chain and the spec's own flows.  A generated or paper population is
+/// handed over as a temporary, so an `f` taking it by value owns it
+/// without a copy; a script's fixed list is copied into such an `f`.
 template <typename F>
 decltype(auto) with_population(const ScenarioSpec& spec, F&& f) {
   if (spec.generated.has_value()) {
@@ -656,9 +668,9 @@ decltype(auto) with_population(const ScenarioSpec& spec, F&& f) {
 }  // namespace
 
 ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
-  return with_population(spec, [&spec](const GeneratedTopology& topo,
-                                        const std::vector<GenFlow>& flows, bool record_series) {
-    return run_topology(spec, topo, flows, record_series);
+  return with_population(spec, [&spec](const GeneratedTopology& topo, std::vector<GenFlow> flows,
+                                        bool record_series) {
+    return run_topology(spec, topo, std::move(flows), record_series);
   });
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -173,7 +174,7 @@ class FlowTracker {
     if (id < index_.size() && index_[id] != nullptr) return *index_[id];
     storage_.emplace_back();
     FlowSeries* fs = &storage_.back();
-    if (id >= index_.size()) index_.resize(id + 1, nullptr);
+    if (id >= index_.size()) index_.resize(std::size_t{id} + 1, nullptr);
     index_[id] = fs;
     ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), id), id);
     return *fs;

@@ -56,6 +56,7 @@ TEST(FlowSpec, WindowValidationRejectsUnorderedAndOverlapping) {
       {{sim::SimTime::seconds(std::nan("")), sim::SimTime::seconds(1)}}));
 
   net::FlowSpec fs;
+  fs.id = 1;
   EXPECT_TRUE(fs.valid());
   fs.active = {win(5, 9), win(0, 4)};
   EXPECT_FALSE(fs.valid());
@@ -65,10 +66,23 @@ TEST(FlowSpec, WindowValidationRejectsUnorderedAndOverlapping) {
   EXPECT_FALSE(fs.valid());
 }
 
+// kInvalidFlow is the unset default and the edge index's empty-slot
+// key, and id + 1 overflows 32 bits for it: no valid spec carries it.
+TEST(FlowSpec, ValidRejectsTheInvalidFlowId) {
+  net::FlowSpec fs;
+  EXPECT_EQ(fs.id, net::kInvalidFlow);
+  EXPECT_FALSE(fs.valid());
+  fs.id = net::kInvalidFlow - 1;
+  EXPECT_TRUE(fs.valid());
+  fs.id = 0;
+  EXPECT_TRUE(fs.valid());
+}
+
 // The binary-search query must agree with a brute-force scan over a
 // churn-sized window population, at boundaries included.
 TEST(FlowSpec, ActiveAtBinarySearchMatchesLinearScan) {
   net::FlowSpec fs;
+  fs.id = 1;
   fs.active.clear();
   for (int i = 0; i < 200; ++i) {
     fs.active.push_back({sim::SimTime::seconds(3.0 * i), sim::SimTime::seconds(3.0 * i + 2.0)});

@@ -1,14 +1,17 @@
 // Tests for qos::FlowTable, the per-flow edge state both edge routers
-// share: the id index, the active set with swap-removal, and the
-// prefetching active-set sweep.
+// share: the id index and its size, the active set with swap-removal,
+// and the prefetching active-set sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "net/network.h"
 #include "qos/flow_table.h"
+#include "scenario/flow_gen.h"
+#include "scenario/topology_gen.h"
 #include "sim/simulator.h"
 
 namespace corelite::qos {
@@ -26,7 +29,17 @@ struct NullOwner {
   void stop_flow(TestFlow&) {}
 };
 
+using Table = FlowTable<TestFlow, NullOwner>;
+
 constexpr net::FlowId kFlows = 1000;
+
+void add_flow(Table& table, net::FlowId id, net::NodeId edge, const RateAdaptConfig& adapt) {
+  net::FlowSpec spec;
+  spec.id = id;
+  spec.ingress = edge;
+  spec.egress = edge;
+  table.add(spec, adapt);
+}
 
 struct FlowTableFixture {
   sim::Simulator simulator{1};
@@ -34,17 +47,11 @@ struct FlowTableFixture {
   net::NodeId edge = network.add_node("edge");
   NullOwner owner;
   RateAdaptConfig adapt;
-  FlowTable<TestFlow, NullOwner> table{owner, network, edge};
+  Table table{owner, network, edge};
 
   // Flow ids 1..kFlows; id 0 is never added.
   FlowTableFixture() {
-    for (net::FlowId id = 1; id <= kFlows; ++id) {
-      net::FlowSpec spec;
-      spec.id = id;
-      spec.ingress = edge;
-      spec.egress = edge;
-      table.add(spec, adapt);
-    }
+    for (net::FlowId id = 1; id <= kFlows; ++id) add_flow(table, id, edge, adapt);
   }
 
   TestFlow& flow(net::FlowId id) { return *table.lookup(id); }
@@ -122,6 +129,71 @@ TEST(FlowTable, LookupOfUnknownIdIsNull) {
   EXPECT_EQ(f.table.lookup(1u << 30), nullptr);
   ASSERT_NE(f.table.lookup(kFlows), nullptr);
   EXPECT_EQ(f.table.lookup(kFlows)->spec.id, kFlows);
+}
+
+// The index is sized by the flows the edge holds, not by the largest
+// id: three sparse ids cost a few slots, not a 50M-entry array.
+TEST(FlowTable, SparseIdsCostSlotsNotTheIdRange) {
+  sim::Simulator simulator{1};
+  net::Network network{simulator};
+  const net::NodeId edge = network.add_node("edge");
+  NullOwner owner;
+  const RateAdaptConfig adapt;
+  Table table{owner, network, edge};
+  const std::vector<net::FlowId> ids{1, 1'000'000, 50'000'000};
+  for (net::FlowId id : ids) add_flow(table, id, edge, adapt);
+
+  EXPECT_LT(table.index_bytes(), 1024u);
+  for (net::FlowId id : ids) {
+    ASSERT_NE(table.lookup(id), nullptr) << id;
+    EXPECT_EQ(table.lookup(id)->spec.id, id);
+  }
+  for (net::FlowId id : {0u, 2u, 999'999u, 1'000'001u, 49'999'999u, 50'000'001u,
+                         net::kInvalidFlow}) {
+    EXPECT_EQ(table.lookup(id), nullptr) << id;
+  }
+  // Every other id in a dense range around the sparse ones misses too,
+  // whatever slot it hashes to.
+  for (net::FlowId id = 0; id < 200'000; ++id) {
+    if (id != 1) {
+      ASSERT_EQ(table.lookup(id), nullptr) << id;
+    }
+  }
+  const Table& view = table;
+  EXPECT_EQ(view.lookup(50'000'000), table.lookup(50'000'000));
+}
+
+// Summed over a generated population's edges, the index costs at most
+// 32 B per flow, however many edges split the population: the
+// scalability workload's 8-stage parking lot and a 32-stage one.
+TEST(FlowTable, IndexBytesPerFlowIsFlatInTheNumberOfEdges) {
+  constexpr std::size_t kPopulation = 100'000;
+  for (const std::size_t stages : {std::size_t{8}, std::size_t{32}}) {
+    const scenario::GeneratedTopology topo = scenario::make_parking_lot(stages);
+    scenario::FlowGenConfig cfg;
+    cfg.num_flows = kPopulation;
+    const std::vector<scenario::GenFlow> flows = scenario::generate_flows(topo, cfg, 80.0, 1);
+
+    sim::Simulator simulator{1};
+    net::Network network{simulator};
+    NullOwner owner;
+    const RateAdaptConfig adapt;
+    std::vector<net::NodeId> edges;
+    std::deque<Table> tables;
+    for (std::size_t i = 0; i < topo.sources.size(); ++i) {
+      edges.push_back(network.add_node("edge"));
+      tables.emplace_back(owner, network, edges.back());
+    }
+    for (const scenario::GenFlow& f : flows) {
+      add_flow(tables[f.src_attach], f.id, edges[f.src_attach], adapt);
+    }
+    std::size_t bytes = 0;
+    for (const Table& t : tables) bytes += t.index_bytes();
+    EXPECT_LE(bytes, 32 * kPopulation) << stages << " stages";
+    for (const scenario::GenFlow& f : flows) {
+      ASSERT_EQ(tables[f.src_attach].lookup(f.id)->spec.id, f.id);
+    }
+  }
 }
 
 }  // namespace
