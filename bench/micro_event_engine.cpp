@@ -14,11 +14,9 @@
 //      and off (CORELITE_NO_WHEEL).
 //
 // Results go to stdout and, machine-readable, to
-// BENCH_event_engine.json in the working directory.  The baseline
-// constants below were measured on the pre-engine seed (std::function
-// callbacks, shared_ptr packets, binary heap of fat entries) on the
-// same reference machine, so the JSON also carries the speedup ratios
-// the acceptance criteria quote.
+// BENCH_event_engine.json in the working directory.  Every number is a
+// measurement of this build on this host; compare two builds by running
+// both on one machine, never against numbers from another.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -80,24 +78,6 @@ double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
-
-// Seed-engine reference numbers (same machine, Release build):
-//   - 2M detached-equivalent events, 8 chains, 24-byte captures:
-//     11.39M events/s at 2.00 allocs/event (std::function heap copy +
-//     shared_ptr control block per event).
-//   - scale_flows 80-flow rows: corelite 301.9 ms, csfq 224.8 ms wall.
-// Captured by rebuilding the seed commit (a8dbe2f) in a worktree and
-// alternating seed / pre-wheel (4d90153) / current cold fresh-process
-// runs in one session (5 triples; medians) — the seed binary replays
-// the IDENTICAL event sequence, so the rows compare the same workload.
-// The pre-wheel engine measured 147.6 / 97.4 ms on the same triples
-// (the wheel's contribution is that delta, the rest is the PR-2/3
-// engine rewrite).  For a fresh comparison on different hardware,
-// repeat the interleaved procedure rather than trusting frozen numbers.
-constexpr double kSeedEventsPerSec = 11.39e6;
-constexpr double kSeedAllocsPerEvent = 2.0;
-constexpr double kSeedCorelite80WallMs = 301.9;
-constexpr double kSeedCsfq80WallMs = 224.8;
 
 constexpr std::uint64_t kEvents = 2'000'000;
 constexpr std::size_t kChains = 8;
@@ -404,78 +384,6 @@ ForwardingResult run_forwarding_loop() {
   return r;
 }
 
-struct BurstResult {
-  std::uint64_t hops = 0;
-  double hops_per_sec = 0.0;
-  double mean_batch_len = 0.0;
-};
-
-// Back-to-back trains on an uncontended link: 32-packet bursts with a
-// propagation pipe longer than the train and an idle gap before the
-// next burst, so between one completion and the next nothing — not the
-// pump, not a delivery of this or the previous train — can interleave.
-// This is the shape batched transmission collapses into one event per
-// train (31 of 32 completions fuse; the first rides a real event).
-BurstResult run_burst_forwarding(bool batch_on) {
-  if (batch_on) {
-    unsetenv("CORELITE_NO_BATCH");
-  } else {
-    setenv("CORELITE_NO_BATCH", "1", 1);
-  }
-  sim::Simulator s;
-  net::Network network{s};
-  const net::NodeId a = network.add_node("a");
-  const net::NodeId b = network.add_node("b");
-  const sim::DataSize pkt = sim::DataSize::bytes(1000);
-  const sim::Rate rate = sim::Rate::mbps(1000);
-  network.connect(a, b, rate, sim::TimeDelta::millis(1), 64);
-  network.build_routes();
-
-  std::uint64_t delivered = 0;
-  network.node(b).set_local_sink([&delivered](net::Packet&&) { ++delivered; });
-
-  constexpr std::size_t kBurst = 32;
-  const double ser = rate.serialization_time(pkt).sec();
-  struct Pump {
-    sim::Simulator& s;
-    net::Network& network;
-    net::NodeId a, b;
-    sim::DataSize pkt;
-    double gap;  ///< burst period: propagation + twice the train length
-    void fire() {
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        net::Packet p;
-        p.uid = network.next_packet_uid();
-        p.flow = 1;
-        p.src = a;
-        p.dst = b;
-        p.size = pkt;
-        p.created = s.now();
-        network.inject(a, std::move(p));
-      }
-      s.after_detached(sim::TimeDelta::seconds(gap), [this] { fire(); });
-    }
-  };
-  Pump pump{s, network, a, b, pkt,
-            0.001 + 2.0 * ser * static_cast<double>(kBurst)};
-  pump.fire();
-
-  s.run_until(sim::SimTime::seconds(1));  // warmup
-  sim::reset_hotpath_counters();
-  const std::uint64_t delivered0 = delivered;
-  const double t0 = now_seconds();
-  s.run_until(sim::SimTime::seconds(21));
-  const double wall = now_seconds() - t0;
-  const sim::HotPathCounters ops = sim::aggregated_hotpath_counters();
-
-  BurstResult r;
-  r.hops = delivered - delivered0;
-  r.hops_per_sec = static_cast<double>(r.hops) / wall;
-  r.mean_batch_len = ops.mean_batch_len();
-  unsetenv("CORELITE_NO_BATCH");
-  return r;
-}
-
 struct ScaleRow {
   double wall_ms = 0.0;          ///< median over kRowRepeats runs
   sim::HotPathCounters ops;      ///< op counts of one run (deterministic)
@@ -517,8 +425,7 @@ int main() {
   std::printf("Event-engine microbenchmark (%llu events, %zu chains, 24-byte captures)\n\n",
               static_cast<unsigned long long>(kEvents), kChains);
 
-  // Scenario rows first, before the hot loops heat the machine — the
-  // seed reference numbers were captured the same way (fresh process).
+  // Scenario rows first, before the hot loops heat the machine.
   const ScaleRow row_cl = run_scale_row(sc::Mechanism::Corelite);
   const ScaleRow row_cs = run_scale_row(sc::Mechanism::Csfq);
   const ScaleRow row_cl_off = run_scale_row(sc::Mechanism::Corelite, /*wheel_on=*/false);
@@ -564,35 +471,17 @@ int main() {
               static_cast<unsigned long long>(fwd.allocs),
               static_cast<unsigned long long>(fwd.hops));
 
-  const BurstResult burst_on = run_burst_forwarding(/*batch_on=*/true);
-  const BurstResult burst_off = run_burst_forwarding(/*batch_on=*/false);
-  std::printf("burst forwarding       : %8.2f M hops/s batched (%.1f/drain), "
-              "%.2f M unbatched — %.2fx\n",
-              burst_on.hops_per_sec / 1e6, burst_on.mean_batch_len,
-              burst_off.hops_per_sec / 1e6, burst_on.hops_per_sec / burst_off.hops_per_sec);
-
   std::printf("scale_flows 80 flows   : corelite %.1f ms, csfq %.1f ms wall (median of %d; "
               "wheel off: %.1f / %.1f ms)\n",
               cl80, cs80, kRowRepeats, row_cl_off.wall_ms, row_cs_off.wall_ms);
-  std::printf("hot-path ops (csfq-80) : %llu exp calls, %.1f%% cache hits; %llu rng draws, "
+  std::printf("hot-path ops (csfq-80) : %llu exp calls, %llu rng draws, "
               "%llu observer dispatches\n",
               static_cast<unsigned long long>(row_cs.ops.exp_calls),
-              row_cs.ops.exp_hit_rate() * 100.0,
               static_cast<unsigned long long>(row_cs.ops.rng_draws),
               static_cast<unsigned long long>(row_cs.ops.observer_dispatches));
-  std::printf("wheel/batch (csfq-80)  : %.1f%% wheel inserts, %llu cascades; "
-              "%llu batch drains (%llu fused, mean %.2f)\n",
+  std::printf("wheel (csfq-80)        : %.1f%% wheel inserts, %llu cascades\n",
               row_cs.ops.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(row_cs.ops.wheel_cascades),
-              static_cast<unsigned long long>(row_cs.ops.batch_drains),
-              static_cast<unsigned long long>(row_cs.ops.batch_drained),
-              row_cs.ops.mean_batch_len());
-
-  const double speedup_events = detached.events_per_sec / kSeedEventsPerSec;
-  const double speedup_cl = kSeedCorelite80WallMs / cl80;
-  const double speedup_cs = kSeedCsfq80WallMs / cs80;
-  std::printf("\nvs seed engine         : %.2fx events/s, %.2fx corelite-80, %.2fx csfq-80\n",
-              speedup_events, speedup_cl, speedup_cs);
+              static_cast<unsigned long long>(row_cs.ops.wheel_cascades));
 
   std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
   if (json != nullptr) {
@@ -638,12 +527,6 @@ int main() {
                  "    \"allocs_per_hop\": %.6f,\n"
                  "    \"hops_per_sec\": %.0f\n"
                  "  },\n"
-                 "  \"burst_forwarding\": {\n"
-                 "    \"batch_on_hops_per_sec\": %.0f,\n"
-                 "    \"batch_off_hops_per_sec\": %.0f,\n"
-                 "    \"batch_speedup\": %.3f,\n"
-                 "    \"mean_batch_len\": %.2f\n"
-                 "  },\n"
                  "  \"scale_flows_80\": {\n"
                  "    \"corelite_wall_ms\": %.1f,\n"
                  "    \"csfq_wall_ms\": %.1f,\n"
@@ -655,48 +538,24 @@ int main() {
                  "  \"hot_path_counters\": {\n"
                  "    \"corelite_80\": {\n"
                  "      \"exp_calls\": %llu,\n"
-                 "      \"exp_cache_hits\": %llu,\n"
-                 "      \"exp_hit_rate\": %.3f,\n"
                  "      \"pow_calls\": %llu,\n"
                  "      \"rng_draws\": %llu,\n"
                  "      \"observer_dispatches\": %llu,\n"
                  "      \"series_appends\": %llu,\n"
                  "      \"wheel_inserts\": %llu,\n"
                  "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu,\n"
-                 "      \"batch_drains\": %llu,\n"
-                 "      \"batch_drained\": %llu\n"
+                 "      \"heap_inserts\": %llu\n"
                  "    },\n"
                  "    \"csfq_80\": {\n"
                  "      \"exp_calls\": %llu,\n"
-                 "      \"exp_cache_hits\": %llu,\n"
-                 "      \"exp_hit_rate\": %.3f,\n"
                  "      \"pow_calls\": %llu,\n"
                  "      \"rng_draws\": %llu,\n"
                  "      \"observer_dispatches\": %llu,\n"
                  "      \"series_appends\": %llu,\n"
                  "      \"wheel_inserts\": %llu,\n"
                  "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu,\n"
-                 "      \"batch_drains\": %llu,\n"
-                 "      \"batch_drained\": %llu\n"
-                 "    },\n"
-                 "    \"exp_hit_rate_ceiling_note\": "
-                 "\"csfq-80 evaluates 115205 distinct exp argument bit patterns over 439131 "
-                 "calls (FP-accumulated paced emission times drift continuously at shared "
-                 "links), so even an infinite bit-exact cache caps at 0.738; the 4096-slot "
-                 "direct-mapped cache reaches ~0.725 of that ceiling.\"\n"
-                 "  },\n"
-                 "  \"seed_reference\": {\n"
-                 "    \"events_per_sec\": %.0f,\n"
-                 "    \"allocs_per_event\": %.2f,\n"
-                 "    \"corelite_80_wall_ms\": %.1f,\n"
-                 "    \"csfq_80_wall_ms\": %.1f\n"
-                 "  },\n"
-                 "  \"speedup_vs_seed\": {\n"
-                 "    \"events_per_sec\": %.2f,\n"
-                 "    \"corelite_80_wall\": %.2f,\n"
-                 "    \"csfq_80_wall\": %.2f\n"
+                 "      \"heap_inserts\": %llu\n"
+                 "    }\n"
                  "  }\n"
                  "}\n",
                  std::thread::hardware_concurrency(),
@@ -713,12 +572,8 @@ int main() {
                  static_cast<unsigned long long>(fwd.hops),
                  static_cast<unsigned long long>(fwd.allocs), fwd.allocs_per_hop,
                  fwd.hops_per_sec,
-                 burst_on.hops_per_sec, burst_off.hops_per_sec,
-                 burst_on.hops_per_sec / burst_off.hops_per_sec, burst_on.mean_batch_len,
                  cl80, cs80, row_cl_off.wall_ms, row_cs_off.wall_ms, kRowRepeats,
                  static_cast<unsigned long long>(row_cl.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cl.ops.exp_cache_hits),
-                 row_cl.ops.exp_hit_rate(),
                  static_cast<unsigned long long>(row_cl.ops.pow_calls),
                  static_cast<unsigned long long>(row_cl.ops.rng_draws),
                  static_cast<unsigned long long>(row_cl.ops.observer_dispatches),
@@ -726,23 +581,14 @@ int main() {
                  static_cast<unsigned long long>(row_cl.ops.wheel_inserts),
                  static_cast<unsigned long long>(row_cl.ops.wheel_cascades),
                  static_cast<unsigned long long>(row_cl.ops.heap_inserts),
-                 static_cast<unsigned long long>(row_cl.ops.batch_drains),
-                 static_cast<unsigned long long>(row_cl.ops.batch_drained),
                  static_cast<unsigned long long>(row_cs.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cs.ops.exp_cache_hits),
-                 row_cs.ops.exp_hit_rate(),
                  static_cast<unsigned long long>(row_cs.ops.pow_calls),
                  static_cast<unsigned long long>(row_cs.ops.rng_draws),
                  static_cast<unsigned long long>(row_cs.ops.observer_dispatches),
                  static_cast<unsigned long long>(row_cs.ops.series_appends),
                  static_cast<unsigned long long>(row_cs.ops.wheel_inserts),
                  static_cast<unsigned long long>(row_cs.ops.wheel_cascades),
-                 static_cast<unsigned long long>(row_cs.ops.heap_inserts),
-                 static_cast<unsigned long long>(row_cs.ops.batch_drains),
-                 static_cast<unsigned long long>(row_cs.ops.batch_drained),
-                 kSeedEventsPerSec, kSeedAllocsPerEvent,
-                 kSeedCorelite80WallMs, kSeedCsfq80WallMs, speedup_events, speedup_cl,
-                 speedup_cs);
+                 static_cast<unsigned long long>(row_cs.ops.heap_inserts));
     std::fclose(json);
     std::printf("wrote BENCH_event_engine.json\n");
   }

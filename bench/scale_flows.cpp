@@ -75,7 +75,8 @@ long current_rss_kb() {
   return -1;
 }
 
-/// Process-lifetime peak RSS in KB (ru_maxrss is KB on Linux).
+/// The process's peak RSS so far in KB (ru_maxrss is KB on Linux): a
+/// high-water mark over every row run before, not this row's alone.
 long peak_rss_kb() {
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return -1;
@@ -125,7 +126,7 @@ struct CurveRow {
   /// its digest (the engine's determinism contract).
   bool ok = false;
   long rss_kb = -1;
-  long peak_kb = -1;
+  long peak_kb = -1;  ///< process high-water mark when the row ends
 };
 
 }  // namespace

@@ -3,15 +3,13 @@
 // RED, CHOKe and FRED all keep an EWMA of the data queue length and,
 // when the queue goes idle, pretend `m = idle_time / service_time`
 // small packets were serviced so the average decays by (1-w)^m.  The
-// three disciplines previously triplicated this code; they now share
-// this helper, which also routes the per-arrival pow through the
-// bit-exact decay cache (sim/fastmath.h) — the idle gaps repeat, so the
-// cache turns the libm pow into a table hit with identical results.
+// three disciplines share this helper.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 
-#include "sim/fastmath.h"
+#include "sim/hotpath.h"
 #include "sim/units.h"
 
 namespace corelite::net {
@@ -22,7 +20,8 @@ namespace corelite::net {
 [[nodiscard]] inline double ewma_idle_aged(double avg, double ewma_weight, sim::TimeDelta idle,
                                            sim::TimeDelta typical_service) {
   const double m = std::max(0.0, idle.sec() / typical_service.sec());
-  return avg * sim::fastmath::cached_pow(1.0 - ewma_weight, m);
+  ++sim::hotpath_counters().pow_calls;
+  return avg * std::pow(1.0 - ewma_weight, m);
 }
 
 }  // namespace corelite::net

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 #include "net/network.h"
@@ -46,8 +45,7 @@ Link::Link(sim::Simulator& simulator, Network& network, NodeId from, NodeId to, 
       lp_from_{network.lp_of(from)},
       rate_{rate},
       prop_delay_{propagation_delay},
-      queue_{std::move(queue)},
-      batching_{std::getenv("CORELITE_NO_BATCH") == nullptr} {
+      queue_{std::move(queue)} {
   assert(queue_ != nullptr);
   // Queue-internal drops (e.g. WFQ evictions) count and notify exactly
   // like rejected arrivals.
@@ -130,14 +128,15 @@ void Link::send(Packet&& p) {
   if (!busy_) start_transmission();
 }
 
-bool Link::dequeue_next(PooledPacket& pooled) {
+void Link::start_transmission() {
   // Dequeue straight into a pooled slot that rides inside the completion
   // event — one packet move per hop and no allocation in the steady
   // state.  (On an empty queue the slot bounces straight back to the
   // free list: two vector ops.)
+  PooledPacket pooled{pool_};
   if (!queue_->dequeue_into(*pooled, sim_.now())) {
     busy_ = false;
-    return false;
+    return;
   }
   busy_ = true;
   if (!dequeue_obs_.empty()) {
@@ -145,63 +144,30 @@ bool Link::dequeue_next(PooledPacket& pooled) {
     for (auto* obs : dequeue_obs_) obs->on_dequeue(*pooled, sim_.now());
   }
   if (pooled->is_data()) notify_queue_length();
-  return true;
-}
-
-void Link::start_transmission() {
-  PooledPacket pooled{pool_};
-  if (!dequeue_next(pooled)) return;
   const sim::TimeDelta ser = rate_.serialization_time(pooled->size);
   sim_.after_detached(ser,
                       [this, pooled = std::move(pooled)]() mutable { on_serialized(std::move(pooled)); });
 }
 
 void Link::on_serialized(PooledPacket p) {
-  // Batched drain: while the queue holds back-to-back packets and the
-  // simulator proves nothing can interleave before the next completion
-  // (can_advance_inline — strictly earlier queued event, tie at the
-  // completion instant, run deadline, or stop() all refuse), process
-  // that completion inline instead of scheduling it.  Every side effect
-  // — stats, dequeue observers at the dequeue instant, delivery time at
-  // completion + propagation — is bit-identical to the event-per-packet
-  // path; only the queue round trip is elided.
-  bool fused_any = false;
-  for (;;) {
-    ++stats_.delivered;
-    if (p->is_data()) {
-      ++stats_.data_delivered;
-      stats_.data_bytes_delivered += p->size;
-    }
-    if (!cross_lp_) {
-      const Packet* hint = p.get();  // read before the capture moves p
-      sim_.after_detached(prop_delay_, sim::hinted(hint, [this, p = std::move(p)]() mutable {
-                            net_.deliver(to_, std::move(*p));
-                          }));
-    } else {
-      // Cut link: the propagation hop crosses an LP boundary.  The
-      // packet is copied into the mailbox (due strictly after the
-      // current conservative window — prop_delay_ >= the partition's
-      // lookahead) and the pooled slot recycles locally right away.
-      net_.post_cross_lp(lp_from_, sim_.now() + prop_delay_, to_, *p);
-    }
-    PooledPacket next{pool_};
-    if (!dequeue_next(next)) return;
-    const sim::TimeDelta ser = rate_.serialization_time(next->size);
-    const sim::SimTime done = sim_.now() + ser;
-    if (!batching_ || !sim_.can_advance_inline(done)) {
-      sim_.after_detached(ser,
-                          [this, next = std::move(next)]() mutable { on_serialized(std::move(next)); });
-      return;
-    }
-    auto& hc = sim::hotpath_counters();
-    if (!fused_any) {
-      fused_any = true;
-      ++hc.batch_drains;
-    }
-    ++hc.batch_drained;
-    sim_.advance_inline(done);
-    p = std::move(next);
+  ++stats_.delivered;
+  if (p->is_data()) {
+    ++stats_.data_delivered;
+    stats_.data_bytes_delivered += p->size;
   }
+  if (!cross_lp_) {
+    const Packet* hint = p.get();  // read before the capture moves p
+    sim_.after_detached(prop_delay_, sim::hinted(hint, [this, p = std::move(p)]() mutable {
+                          net_.deliver(to_, std::move(*p));
+                        }));
+  } else {
+    // Cut link: the propagation hop crosses an LP boundary.  The packet
+    // is copied into the mailbox (due strictly after the current
+    // conservative window — prop_delay_ >= the partition's lookahead)
+    // and the pooled slot recycles locally right away.
+    net_.post_cross_lp(lp_from_, sim_.now() + prop_delay_, to_, *p);
+  }
+  start_transmission();
 }
 
 }  // namespace corelite::net

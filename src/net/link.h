@@ -129,7 +129,6 @@ class Link {
  private:
   void start_transmission();
   void on_serialized(PooledPacket p);
-  bool dequeue_next(PooledPacket& p);
   void notify_queue_length();
   void notify_drop(const Packet& p, sim::SimTime now);
 
@@ -158,10 +157,6 @@ class Link {
   Stats stats_;
   double control_loss_rate_ = 0.0;
   bool busy_ = false;
-  // Batched transmission (see on_serialized).  Read from the
-  // CORELITE_NO_BATCH environment at construction so a process can
-  // build comparison links with setenv() between constructions.
-  bool batching_ = true;
 };
 
 }  // namespace corelite::net

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
-#include "sim/fastmath.h"
+#include "sim/hotpath.h"
 
 namespace corelite::qos {
 
@@ -54,11 +55,9 @@ void RateController::on_epoch(const RateAdaptConfig& cfg, int feedback_count, si
       if (feedback_count == 0) {
         rate_ = cfg.kind == AdaptKind::Aimd ? rate_ + cfg.alpha_pps : rate_ * cfg.mi_factor;
       } else {
-        // Small integer exponents recur every epoch; the decay cache
-        // makes the multiplicative decrease a table hit (bit-identical
-        // results).
-        rate_ = std::max(floor_, rate_ * sim::fastmath::cached_pow(1.0 - cfg.md_factor,
-                                                                   feedback_count));
+        ++sim::hotpath_counters().pow_calls;
+        rate_ = std::max(floor_, rate_ * std::pow(1.0 - cfg.md_factor,
+                                                  static_cast<double>(feedback_count)));
       }
       return;
   }

@@ -7,15 +7,14 @@ namespace corelite::sim {
 
 namespace {
 
-// Every counter field, in declaration order.  flush/aggregate/reset walk
+// Every live counter field, in declaration order (batch_drained is
+// never incremented, so it is left out).  flush/aggregate/reset walk
 // this table so adding a counter is a two-line change (struct + here).
 constexpr std::uint64_t HotPathCounters::* kFields[] = {
-    &HotPathCounters::exp_calls,        &HotPathCounters::exp_cache_hits,
-    &HotPathCounters::pow_calls,        &HotPathCounters::pow_cache_hits,
+    &HotPathCounters::exp_calls,        &HotPathCounters::pow_calls,
     &HotPathCounters::rng_draws,        &HotPathCounters::observer_dispatches,
     &HotPathCounters::series_appends,   &HotPathCounters::wheel_inserts,
     &HotPathCounters::wheel_cascades,   &HotPathCounters::heap_inserts,
-    &HotPathCounters::batch_drains,     &HotPathCounters::batch_drained,
     &HotPathCounters::lp_barriers,      &HotPathCounters::cross_lp_events,
     &HotPathCounters::mailbox_flushes,  &HotPathCounters::lookahead_ns,
 };

@@ -39,14 +39,6 @@
 //     under parallel execution would require executing serially.  What
 //     the parallel engine guarantees instead is reproducibility: any
 //     machine, any thread count, same (spec, N) => same digest.
-//
-// Interaction with PR 5's inline link batching: a link may fuse the
-// next transmission completion only when can_advance_inline() proves
-// nothing can interleave — and the window end w_k is installed as the
-// run deadline, so fusions never cross a barrier.  Mailbox messages
-// carry timestamps strictly(ish) beyond w_k, so they cannot interleave
-// with any fused completion either; digests are invariant under
-// CORELITE_NO_BATCH / CORELITE_NO_WHEEL, which tests also pin.
 #pragma once
 
 #include <cassert>

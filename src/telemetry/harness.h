@@ -127,12 +127,8 @@ inline bool write_manifest_file(const RunManifest& manifest, const std::string& 
 inline void print_hotpath_profile(const std::string& scope) {
   const sim::HotPathCounters c = sim::aggregated_hotpath_counters();
   std::printf("\nhot-path profile (%s)\n", scope.c_str());
-  std::printf("  exp calls            %12llu  (cache hits %llu, %.1f%%)\n",
-              static_cast<unsigned long long>(c.exp_calls),
-              static_cast<unsigned long long>(c.exp_cache_hits), c.exp_hit_rate() * 100.0);
-  std::printf("  pow calls            %12llu  (cache hits %llu, %.1f%%)\n",
-              static_cast<unsigned long long>(c.pow_calls),
-              static_cast<unsigned long long>(c.pow_cache_hits), c.pow_hit_rate() * 100.0);
+  std::printf("  exp calls            %12llu\n", static_cast<unsigned long long>(c.exp_calls));
+  std::printf("  pow calls            %12llu\n", static_cast<unsigned long long>(c.pow_calls));
   std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
   std::printf("  observer dispatches  %12llu\n",
               static_cast<unsigned long long>(c.observer_dispatches));
@@ -142,9 +138,6 @@ inline void print_hotpath_profile(const std::string& scope) {
               static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
               static_cast<unsigned long long>(c.heap_inserts),
               static_cast<unsigned long long>(c.wheel_cascades));
-  std::printf("  batch drains         %12llu  (%llu completions fused, mean %.2f/drain)\n",
-              static_cast<unsigned long long>(c.batch_drains),
-              static_cast<unsigned long long>(c.batch_drained), c.mean_batch_len());
   std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
               static_cast<unsigned long long>(c.lp_barriers),
               static_cast<unsigned long long>(c.cross_lp_events),

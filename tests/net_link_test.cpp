@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/link.h"
 #include "net/network.h"
-#include "sim/hotpath.h"
 #include "sim/simulator.h"
 
 namespace corelite::net {
@@ -205,15 +203,13 @@ TEST(Link, StatsCountDataBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched transmission (Link::on_serialized drain loop).
+// Burst transmission: one event per completion.
 
 /// Full externally observable trace of a burst: every observer callback
-/// and delivery, tagged with its virtual timestamp.  Batched and
-/// event-per-packet transmission must produce identical traces.
+/// and delivery, tagged with its virtual timestamp.
 struct BurstTrace {
   std::vector<std::pair<std::string, double>> log;
   std::uint64_t events = 0;
-  bool operator==(const BurstTrace& o) const { return log == o.log && events == o.events; }
 };
 
 struct TracingObserver final : LinkObserver {
@@ -228,93 +224,66 @@ struct TracingObserver final : LinkObserver {
 
 /// 6-packet burst at t=0 on a 4 Mb/s link with a 40 ms pipe (2 ms per
 /// packet, so completions at 2..12 ms all precede the first delivery at
-/// 42 ms — the batchable shape), plus one unrelated mid-burst event at
-/// 5 ms that must interleave between the 4 ms and 6 ms completions.
-/// Optionally pauses at `deadline` before finishing the run.
-BurstTrace run_burst(bool batch_on, double deadline_sec = -1.0) {
-  if (batch_on) {
-    unsetenv("CORELITE_NO_BATCH");
-  } else {
-    setenv("CORELITE_NO_BATCH", "1", 1);
-  }
+/// 42 ms), plus one unrelated mid-burst event at 5 ms that must
+/// interleave between the 4 ms and 6 ms completions.  Optionally pauses
+/// at `deadline` before finishing the run.
+BurstTrace run_burst(double deadline_sec = -1.0) {
   BurstTrace trace;
-  {
-    TwoNodeFixture f;
-    Link& l = f.make_link(sim::Rate::mbps(4), sim::TimeDelta::millis(40));
-    TracingObserver obs;
-    obs.log = &trace.log;
-    l.add_observer(&obs, Link::kObserveDequeue | Link::kObserveQueueLength);
-    f.network.node(f.b).set_local_sink([&](Packet&& p) {
-      trace.log.emplace_back("arr" + std::to_string(p.uid), f.simulator.now().sec());
-    });
-    f.simulator.at_detached(sim::SimTime::seconds(0.005), [&] {
-      trace.log.emplace_back("tick", f.simulator.now().sec());
-    });
-    for (std::uint64_t uid = 1; uid <= 6; ++uid) l.send(f.data(uid));
-    if (deadline_sec >= 0.0) {
-      f.simulator.run_until(sim::SimTime::seconds(deadline_sec));
-      trace.log.emplace_back("pause", f.simulator.now().sec());
-    }
-    f.simulator.run();
-    trace.events = f.simulator.events_processed();
-    l.remove_observer(&obs);
+  TwoNodeFixture f;
+  Link& l = f.make_link(sim::Rate::mbps(4), sim::TimeDelta::millis(40));
+  TracingObserver obs;
+  obs.log = &trace.log;
+  l.add_observer(&obs, Link::kObserveDequeue | Link::kObserveQueueLength);
+  f.network.node(f.b).set_local_sink([&](Packet&& p) {
+    trace.log.emplace_back("arr" + std::to_string(p.uid), f.simulator.now().sec());
+  });
+  f.simulator.at_detached(sim::SimTime::seconds(0.005), [&] {
+    trace.log.emplace_back("tick", f.simulator.now().sec());
+  });
+  for (std::uint64_t uid = 1; uid <= 6; ++uid) l.send(f.data(uid));
+  if (deadline_sec >= 0.0) {
+    f.simulator.run_until(sim::SimTime::seconds(deadline_sec));
+    trace.log.emplace_back("pause", f.simulator.now().sec());
   }
-  unsetenv("CORELITE_NO_BATCH");
+  f.simulator.run();
+  trace.events = f.simulator.events_processed();
+  l.remove_observer(&obs);
   return trace;
 }
 
-TEST(LinkBatching, BatchedTraceIsBitIdenticalToEventPerPacket) {
-  const BurstTrace batched = run_burst(/*batch_on=*/true);
-  const BurstTrace unbatched = run_burst(/*batch_on=*/false);
-  EXPECT_EQ(batched, unbatched);
-  // The mid-burst tick must sit between the 4 ms and 6 ms dequeues in
-  // both traces — batching may not reorder an interleaving event.
+TEST(Link, MidBurstEventInterleavesBetweenCompletions) {
+  const BurstTrace trace = run_burst();
+  // The 5 ms tick sits between the dequeues at 4 ms and 6 ms.
   const auto find = [&](const std::string& tag) {
-    for (std::size_t i = 0; i < batched.log.size(); ++i) {
-      if (batched.log[i].first == tag) return i;
+    for (std::size_t i = 0; i < trace.log.size(); ++i) {
+      if (trace.log[i].first == tag) return i;
     }
-    return batched.log.size();
+    return trace.log.size();
   };
   EXPECT_LT(find("deq3"), find("tick"));
   EXPECT_LT(find("tick"), find("deq4"));
 }
 
-TEST(LinkBatching, EventsProcessedCountsFusedCompletions) {
-  // advance_inline() accounts one processed event per fused completion,
-  // so the externally visible event count must not depend on batching.
-  const BurstTrace batched = run_burst(true);
-  const BurstTrace unbatched = run_burst(false);
-  EXPECT_EQ(batched.events, unbatched.events);
+TEST(Link, EventsProcessedCountsEveryCompletion) {
+  // Six completions, six deliveries and the tick.
+  EXPECT_EQ(run_burst().events, 13u);
 }
 
-TEST(LinkBatching, RunUntilDeadlineIsNotOvershotByADrain) {
-  // Pause mid-burst: completions past the deadline must not be fused
-  // early, the clock must stop exactly at the deadline, and resuming
-  // must finish identically to the unbatched engine.
-  const BurstTrace batched = run_burst(true, /*deadline_sec=*/0.005);
-  const BurstTrace unbatched = run_burst(false, /*deadline_sec=*/0.005);
-  EXPECT_EQ(batched, unbatched);
+TEST(Link, RunUntilDeadlineStopsTheClockExactly) {
+  // Pause mid-burst: the clock stops exactly at the deadline and no
+  // later event runs before the pause.
+  const BurstTrace trace = run_burst(/*deadline_sec=*/0.005);
   bool saw_pause = false;
-  for (const auto& [tag, at] : batched.log) {
+  for (const auto& [tag, at] : trace.log) {
     if (tag == "pause") {
       saw_pause = true;
       EXPECT_DOUBLE_EQ(at, 0.005);
     }
-    // Nothing after time 5 ms may appear before the pause entry.
     if (!saw_pause) {
       EXPECT_LE(at, 0.005) << tag;
     }
   }
   EXPECT_TRUE(saw_pause);
-}
-
-TEST(LinkBatching, EscapeHatchDisablesFusion) {
-  sim::reset_hotpath_counters();
-  (void)run_burst(true);
-  EXPECT_GT(sim::aggregated_hotpath_counters().batch_drained, 0u);
-  sim::reset_hotpath_counters();
-  (void)run_burst(false);
-  EXPECT_EQ(sim::aggregated_hotpath_counters().batch_drained, 0u);
 }
 
 }  // namespace

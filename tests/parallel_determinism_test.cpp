@@ -232,20 +232,15 @@ TEST(ParallelDeterminism, LpCountersAdvanceInPartitionedRuns) {
   EXPECT_EQ(s.cross_lp_events, 0u);
 }
 
-TEST(ParallelDeterminism, DigestInvariantUnderBatchAndWheelElision) {
-  // The window-end run deadline must stop inline batch fusion at every
-  // barrier, and the wheel/heap tiering must never reorder same-time
-  // events -- so turning either optimization off cannot change a
-  // partitioned run's digest.  Both knobs are read at construction
-  // time, so setenv between runs takes effect in-process.
+TEST(ParallelDeterminism, DigestInvariantUnderWheelElision) {
+  // The wheel/heap tiering must never reorder same-time events, so
+  // turning the wheel off cannot change a partitioned run's digest.
+  // The knob is read at construction time, so setenv between runs
+  // takes effect in-process.
   const std::uint64_t base = digest_of("fig5", 8.0, 2, 1);
-  ::setenv("CORELITE_NO_BATCH", "1", 1);
-  const std::uint64_t no_batch = digest_of("fig5", 8.0, 2, 1);
-  ::unsetenv("CORELITE_NO_BATCH");
   ::setenv("CORELITE_NO_WHEEL", "1", 1);
   const std::uint64_t no_wheel = digest_of("fig5", 8.0, 2, 1);
   ::unsetenv("CORELITE_NO_WHEEL");
-  EXPECT_EQ(base, no_batch) << "inline batching changes the lp=2 digest";
   EXPECT_EQ(base, no_wheel) << "timing-wheel elision changes the lp=2 digest";
 }
 
