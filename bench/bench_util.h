@@ -103,12 +103,12 @@ inline void maybe_export_artifacts(const char* name, const scenario::ScenarioSpe
   if (dir == nullptr || *dir == '\0') return;
   const std::string base = std::string(dir) + "/" + name;
 
-  std::map<std::string, const stats::TimeSeries*> rates;
-  std::map<std::string, const stats::TimeSeries*> cum;
+  std::map<std::string, stats::SeriesRef> rates;
+  std::map<std::string, stats::SeriesRef> cum;
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
     const auto& fs = r.tracker.series(static_cast<net::FlowId>(i));
-    rates["flow" + std::to_string(i)] = &fs.allotted_rate;
-    cum["flow" + std::to_string(i)] = &fs.cumulative_delivered;
+    rates.emplace("flow" + std::to_string(i), fs.allotted_rate);
+    cum.emplace("flow" + std::to_string(i), fs.cumulative_delivered);
   }
   const double t_end = spec.duration.sec();
   {

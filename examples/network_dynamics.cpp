@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
   const auto result = sc::run_paper_scenario(spec);
 
   // CSV export.
-  std::map<std::string, const corelite::stats::TimeSeries*> rates;
-  std::map<std::string, const corelite::stats::TimeSeries*> cumulative;
+  std::map<std::string, corelite::stats::SeriesRef> rates;
+  std::map<std::string, corelite::stats::SeriesRef> cumulative;
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
     const auto& fs = result.tracker.series(static_cast<corelite::net::FlowId>(i));
-    rates["flow" + std::to_string(i)] = &fs.allotted_rate;
-    cumulative["flow" + std::to_string(i)] = &fs.cumulative_delivered;
+    rates.emplace("flow" + std::to_string(i), fs.allotted_rate);
+    cumulative.emplace("flow" + std::to_string(i), fs.cumulative_delivered);
   }
   const std::string rate_path = out_dir + "/corelite_rates.csv";
   const std::string cum_path = out_dir + "/corelite_cumulative.csv";

@@ -35,7 +35,7 @@ int main() {
     const double predicted =
         an::predict_time_to_share(spec.corelite.adapt, spec.corelite.edge_epoch, share);
     double measured = spec.duration.sec();
-    for (const auto& pt : r.tracker.series(f).allotted_rate.points()) {
+    for (const auto pt : r.tracker.series(f).allotted_rate) {
       if (pt.v >= share) {
         measured = pt.t;
         break;

@@ -52,7 +52,7 @@ class Network {
         pools_.push_back(std::make_shared<PacketPool>());
         runtime.lp_sim(i).retain(pools_.back());
       }
-      lp_packet_uid_.assign(runtime.lp_count(), 0);
+      lp_packet_uid_.assign(runtime.lp_count(), UidCounter{});
     }
   }
 
@@ -107,7 +107,7 @@ class Network {
   [[nodiscard]] std::uint64_t next_packet_uid(NodeId at) {
     if (lp_rt_ == nullptr) return ++packet_uid_;
     const std::uint32_t lp = lp_of_node_[at];
-    return (static_cast<std::uint64_t>(lp) << 48) | ++lp_packet_uid_[lp];
+    return (static_cast<std::uint64_t>(lp) << 48) | ++lp_packet_uid_[lp].next;
   }
 
   [[nodiscard]] std::uint64_t unrouteable_count() const {
@@ -152,7 +152,12 @@ class Network {
   std::vector<std::shared_ptr<PacketPool>> pools_{std::make_shared<PacketPool>()};
   std::vector<std::uint32_t> lp_of_node_;
   std::uint64_t packet_uid_ = 0;
-  std::vector<std::uint64_t> lp_packet_uid_;
+  /// One LP's packet uid counter, alone on its cache line: each LP's
+  /// thread bumps its own on every packet birth.
+  struct alignas(64) UidCounter {
+    std::uint64_t next = 0;
+  };
+  std::vector<UidCounter> lp_packet_uid_;
   // Any LP may fail to route concurrently; diagnostics only (always 0
   // in healthy runs), so relaxed is fine.
   std::atomic<std::uint64_t> unrouteable_{0};

@@ -132,11 +132,11 @@ std::uint64_t result_digest(const scenario::ScenarioResult& r) {
     d.mix(fs.delivered);
     d.mix(fs.dropped);
     d.mix(fs.feedback_received);
-    for (const auto& p : fs.allotted_rate.points()) {
+    for (const auto p : fs.allotted_rate) {
       d.mix(p.t);
       d.mix(p.v);
     }
-    for (const auto& p : fs.cumulative_delivered.points()) {
+    for (const auto p : fs.cumulative_delivered) {
       d.mix(p.t);
       d.mix(p.v);
     }

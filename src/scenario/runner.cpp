@@ -475,9 +475,10 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   }
 
   // Periodic cumulative-service sampling (Figure 4's series).  The LP
-  // variant shards flows by egress (sink-router) LP so each series has
-  // one writer — the same LP that bumps the flow's delivered counter.
-  tracker.sample_cumulative(simulator.exp_now());
+  // variant gives each egress (sink-router) LP a sample clock of its own
+  // for its flows, so each clock and its series have one writer — the
+  // same LP that bumps the flows' delivered counters.  The clocks exist
+  // before the first (global) sample, which lands on every clock.
   if (!lp_mode) {
     samplers.push_back(simulator.every(spec.cumulative_sample_period, [&tracker, &simulator] {
       tracker.sample_cumulative(simulator.exp_now());
@@ -490,13 +491,14 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
       }
       if (owned.empty()) continue;
       std::sort(owned.begin(), owned.end());
+      const std::size_t clock = tracker.add_sample_clock(owned);
       sim::Simulator& lsim = lp_rt.lp_sim(lp);
-      samplers.push_back(lsim.every(
-          spec.cumulative_sample_period, [&tracker, &lsim, owned = std::move(owned)] {
-            tracker.sample_cumulative(lsim.now(), owned);
-          }));
+      samplers.push_back(lsim.every(spec.cumulative_sample_period, [&tracker, &lsim, clock] {
+        tracker.sample_cumulative(lsim.now(), clock);
+      }));
     }
   }
+  tracker.sample_cumulative(simulator.exp_now());
 
   // Fairness auditor (opt-in, serial-only — audit_on already folds in
   // the lp_mode fallback).  The oracle runs over the same per-path
@@ -712,7 +714,7 @@ SteadyStateScore steady_state_score(const ScenarioSpec& spec, const ScenarioResu
   for (std::size_t i = 0; i < spec.num_flows; ++i) {
     const auto f = static_cast<net::FlowId>(i + 1);
     const auto& fs = r.tracker.series(f);
-    score.avg_rate[i] = !fs.allotted_rate.points().empty()
+    score.avg_rate[i] = !fs.allotted_rate.empty()
                             ? fs.allotted_rate.average_over(w0, w1)
                             : static_cast<double>(fs.delivered) / t_end;
     const auto it = oracle.find(f);

@@ -11,10 +11,12 @@
 // completions and paced emission timers — are short-horizon and
 // near-monotonic, so filing them is two array writes instead of a heap
 // sift.  The indexed 4-ary heap remains as the overflow tier for what
-// the wheel declines: events at or before the cursor tick, beyond the
-// ~2^32-tick horizon, or at non-finite times.  Popping merges the two
-// tiers by exact (time, seq), so the firing order — and therefore every
-// golden digest — is bit-identical to the heap-only engine.  Setting
+// the wheel declines: events before the cursor tick, beyond the
+// ~2^32-tick horizon, or at non-finite times.  An event due inside the
+// cursor tick itself (a completion a few microseconds out) goes into
+// the sorted buffer that tick is being drained from.  Popping merges the
+// two tiers by exact (time, seq), so the firing order — and therefore
+// every golden digest — is bit-identical to the heap-only engine.  Setting
 // the environment variable CORELITE_NO_WHEEL (to any value) routes all
 // traffic to the heap.
 //
@@ -289,16 +291,33 @@ class EventQueue {
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
 
-  /// Tier selector: file short-horizon events in the wheel, everything
-  /// it declines (past/current tick, beyond horizon, non-finite, or
-  /// CORELITE_NO_WHEEL) in the overflow heap.
+  /// Tier selector: file short-horizon events in the wheel, and events
+  /// due inside the tick being drained in the sorted drain buffer at
+  /// their exact (time, seq) place.  Everything else (past ticks, beyond
+  /// horizon, non-finite, or CORELITE_NO_WHEEL) goes to the overflow heap.
   void push_entry(double at, std::uint32_t slot, bool cancellable) {
     const std::uint64_t seq = next_seq_++;
     assert(seq < (std::uint64_t{1} << (64 - kSeqShift)) && "event sequence space exhausted");
     const std::uint64_t key = (seq << kSeqShift) | (cancellable ? kCancellableBit : 0) | slot;
-    if (wheel_enabled_ && wheel_.try_insert(at, key)) {
-      ++hotpath_counters().wheel_inserts;
-      return;
+    if (wheel_enabled_) {
+      if (wheel_.try_insert(at, key)) {
+        ++hotpath_counters().wheel_inserts;
+        return;
+      }
+      // The buffer holds the cursor tick's entries; every entry left in
+      // the wheel is due at a later tick, so the buffer stays in front.
+      if (wheel_.in_cursor_tick(at)) {
+        if (buf_pos_ == buffer_.size()) {
+          buffer_.clear();
+          buf_pos_ = 0;
+        }
+        const Entry e{at, key};
+        buffer_.insert(std::upper_bound(buffer_.begin() + static_cast<std::ptrdiff_t>(buf_pos_),
+                                        buffer_.end(), e, earlier),
+                       e);
+        ++hotpath_counters().wheel_inserts;
+        return;
+      }
     }
     ++hotpath_counters().heap_inserts;
     heap_.push_back(Entry{at, key});

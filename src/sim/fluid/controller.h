@@ -8,8 +8,8 @@
 // fixed point.  Once both hold, the remainder of the steady phase is
 // compressed: the experiment-time offset jumps to just short of the
 // next workload boundary (TimeWarp heap top) while per-flow
-// sent/delivered/dropped counters and the allotted-rate/cumulative
-// TimeSeries are synthesized from the flows' measurement-window mean
+// sent/delivered/dropped counters and the allotted-rate and cumulative
+// series are synthesized from the flows' measurement-window mean
 // rates with deterministic fractional-packet residues.  The window mean
 // — counters integrated over several control-loop oscillation periods —
 // is the packet engine's own steady behaviour; the analytic allocation

@@ -83,10 +83,9 @@ class TimerWheel {
     return n * sizeof(WheelEntry);
   }
 
-  /// File an entry, or return false if it belongs to the overflow heap:
-  /// non-finite or absurdly large times, times at or before the cursor
-  /// tick (the heap preserves exact ordering against the slot currently
-  /// being drained), and times beyond the wheel horizon.
+  /// File an entry, or return false: non-finite or absurdly large times,
+  /// times at or before the cursor tick (its slot is already being
+  /// drained; see in_cursor_tick), and times beyond the wheel horizon.
   bool try_insert(double at, std::uint64_t key) {
     const double ticks = at * kTicksPerSecond;
     if (!(ticks >= 0.0) || ticks >= kMaxTick) return false;  // NaN/inf/too far
@@ -100,10 +99,19 @@ class TimerWheel {
     return true;
   }
 
+  /// True if `at` falls in the tick the cursor sits on — the tick whose
+  /// entries the last collect_next() handed out.  try_insert() declines
+  /// such times; the caller files them with that tick's entries.
+  [[nodiscard]] bool in_cursor_tick(double at) const {
+    const double ticks = at * kTicksPerSecond;
+    return ticks >= 0.0 && ticks < kMaxTick && static_cast<std::uint64_t>(ticks) == cursor_;
+  }
+
   /// Advance the cursor to the earliest occupied level-0 tick, cascading
   /// higher-level slots as the cursor enters them, and append that
   /// tick's entries to `out` (unsorted — the caller orders by full
-  /// (time, seq)).  Precondition: count() > 0.
+  /// (time, seq)).  An empty `out` swaps storage with the slot instead
+  /// of copying it.  Precondition: count() > 0.
   void collect_next(std::vector<WheelEntry>& out) {
     assert(count_ > 0 && "collect_next on an empty wheel");
     for (;;) {
@@ -117,7 +125,11 @@ class TimerWheel {
         auto& slot = l0.slots[static_cast<std::size_t>(j0)];
         count_ -= slot.size();
         l0.entries -= slot.size();
-        out.insert(out.end(), slot.begin(), slot.end());
+        if (out.empty()) {
+          out.swap(slot);  // the slot takes the buffer's empty storage
+        } else {
+          out.insert(out.end(), slot.begin(), slot.end());
+        }
         release(slot);
         clear_bit(l0.occupied, static_cast<std::size_t>(j0));
         return;
@@ -202,12 +214,12 @@ class TimerWheel {
 
   /// Empty a drained slot, returning a burst's capacity to the allocator:
   /// an upper-level slot is revisited only a full lap later.
+  /// collect_next() swaps storage with the drain buffer, so a slot can
+  /// also come back with less than the reserve.
   static void release(std::vector<WheelEntry>& slot) {
     slot.clear();
-    if (slot.capacity() > kSlotKeep) {
-      std::vector<WheelEntry>().swap(slot);
-      slot.reserve(kSlotReserve);
-    }
+    if (slot.capacity() > kSlotKeep) std::vector<WheelEntry>().swap(slot);
+    if (slot.capacity() < kSlotReserve) slot.reserve(kSlotReserve);
   }
 
   static void clear_bit(std::uint64_t* words, std::size_t idx) {

@@ -12,12 +12,19 @@
 // dense id-indexed pointer table, and iteration (all(), totals,
 // sample_cumulative) walks a sorted id vector — 100k-flow populations
 // pay array walks, not red-black-tree traversals.
+//
+// Cumulative samples are exact counts on a shared SampleClock (see
+// time_series.h): a serial run has one clock; the parallel engine gives
+// each LP a clock of its own for the flows whose egress it owns, so
+// every clock and every series on it has exactly one writer.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -30,9 +37,11 @@
 namespace corelite::stats {
 
 struct FlowSeries {
+  explicit FlowSeries(const SampleClock& clock) : cumulative_delivered{clock} {}
+
   double weight = 1.0;
-  TimeSeries allotted_rate;        ///< b_g(f) in packets/s vs time
-  TimeSeries cumulative_delivered; ///< total data packets delivered vs time
+  TimeSeries allotted_rate;         ///< b_g(f) in packets/s vs time
+  CountSeries cumulative_delivered; ///< total data packets delivered vs time
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
   std::uint64_t sent = 0;
@@ -42,9 +51,22 @@ struct FlowSeries {
   /// every `kDelaySampleStride`-th delivered packet contributes.
   std::vector<double> delay_samples;
 };
+// gen-100k holds 100k of these: the series handles must not grow them.
+static_assert(sizeof(FlowSeries) <= 112, "FlowSeries grew");
+
+/// What a tracker's measurement storage holds (FlowTracker::footprint).
+struct SeriesFootprint {
+  std::size_t rate_points = 0;
+  std::size_t cumulative_points = 0;
+  std::size_t delay_points = 0;
+  std::size_t series_bytes = 0;  ///< rate and count blocks, block tables, sample clocks
+  std::size_t delay_bytes = 0;   ///< delay-sample vectors (capacity)
+};
 
 class FlowTracker {
  public:
+  FlowTracker() { columns_.push_back(std::make_unique<Column>()); }
+
   /// Counters-only mode for very large populations: rate and cumulative
   /// samples are not stored (a 100k-flow run would otherwise append one
   /// point per flow per adaptation epoch).  Per-packet counters, weights
@@ -90,26 +112,57 @@ class FlowTracker {
     slot(id).feedback_received += count;
   }
 
-  /// Snapshot every flow's cumulative delivery counter at time t.
+  /// Parallel engine: a sample clock of its own for one LP's flows —
+  /// those whose egress it owns, so the LP that bumps their `delivered`
+  /// counters is the single writer of the clock and its series.  Call
+  /// before the first sample; flows must already be declared.  Returns
+  /// the id sample_cumulative(t, clock) takes.  A counters-only tracker
+  /// samples nothing, so it keeps no clocks and returns 0.
+  std::size_t add_sample_clock(std::span<const net::FlowId> flows) {
+    if (!series_enabled_) return 0;
+    auto& col = *columns_.emplace_back(std::make_unique<Column>());
+    col.flows.reserve(flows.size());
+    for (net::FlowId id : flows) {
+      assert(has(id) && "declare flows before giving them a clock");
+      FlowSeries& fs = *index_[id];
+      assert(fs.cumulative_delivered.empty() && "move flows to a clock before sampling");
+      fs.cumulative_delivered = CountSeries{col.clock};
+      col.flows.push_back(&fs);
+    }
+    return columns_.size() - 1;
+  }
+
+  /// Snapshot every flow's cumulative delivery counter at time t: the
+  /// time goes on every clock.  Not concurrent with the per-clock form.
   void sample_cumulative(sim::SimTime t) {
     if (!series_enabled_) return;
+    for (auto& col : columns_) col->clock.add(t.sec());
     for (net::FlowId id : ids_) {
       auto& fs = *index_[id];
-      fs.cumulative_delivered.add(t.sec(), static_cast<double>(fs.delivered));
+      fs.cumulative_delivered.add(fs.delivered);
     }
   }
 
-  /// Subset variant for the parallel engine: each LP samples only the
-  /// flows whose egress it owns (the single writer of their `delivered`
-  /// counters), so concurrent LP samplers never touch the same series.
-  /// Flows must have been declared up front (they are — add_flow runs
-  /// at setup); ids outside the tracker are a bug, not a lazy insert.
-  void sample_cumulative(sim::SimTime t, std::span<const net::FlowId> subset) {
+  /// Snapshot only the flows of one clock (from add_sample_clock).
+  void sample_cumulative(sim::SimTime t, std::size_t clock) {
     if (!series_enabled_) return;
-    for (net::FlowId id : subset) {
-      auto& fs = *index_[id];
-      fs.cumulative_delivered.add(t.sec(), static_cast<double>(fs.delivered));
+    Column& col = *columns_[clock];
+    col.clock.add(t.sec());
+    for (FlowSeries* fs : col.flows) fs->cumulative_delivered.add(fs->delivered);
+  }
+
+  /// Points and heap bytes the measurement series hold.
+  [[nodiscard]] SeriesFootprint footprint() const {
+    SeriesFootprint f;
+    for (const auto& col : columns_) f.series_bytes += col->clock.bytes();
+    for (const FlowSeries& fs : storage_) {
+      f.rate_points += fs.allotted_rate.size();
+      f.cumulative_points += fs.cumulative_delivered.size();
+      f.delay_points += fs.delay_samples.size();
+      f.series_bytes += fs.allotted_rate.bytes() + fs.cumulative_delivered.bytes();
+      f.delay_bytes += fs.delay_samples.capacity() * sizeof(double);
     }
+    return f;
   }
 
   [[nodiscard]] const FlowSeries& series(net::FlowId id) const {
@@ -172,7 +225,7 @@ class FlowTracker {
   /// ids_ stays sorted so all() keeps the map's id-ordered iteration.
   FlowSeries& slot(net::FlowId id) {
     if (id < index_.size() && index_[id] != nullptr) return *index_[id];
-    storage_.emplace_back();
+    storage_.emplace_back(columns_.front()->clock);
     FlowSeries* fs = &storage_.back();
     if (id >= index_.size()) index_.resize(std::size_t{id} + 1, nullptr);
     index_[id] = fs;
@@ -180,9 +233,19 @@ class FlowTracker {
     return *fs;
   }
 
+  /// A sample clock and the flows sampled on it.  Column 0 is the
+  /// serial clock: flows start there, and it samples only through the
+  /// global sample_cumulative(t), which walks ids_ (its list is empty).
+  /// Heap-allocated so series keep their clock across tracker moves.
+  struct Column {
+    SampleClock clock;
+    std::vector<FlowSeries*> flows;
+  };
+
   std::deque<FlowSeries> storage_;
   std::vector<net::FlowId> ids_;       ///< sorted; iteration order of all()
   std::vector<FlowSeries*> index_;     ///< dense: id -> series
+  std::vector<std::unique_ptr<Column>> columns_;
   bool series_enabled_ = true;
 };
 

@@ -1,57 +1,78 @@
 #include "stats/time_series.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 
 namespace corelite::stats {
 
-double TimeSeries::value_at(double t) const {
-  if (points_.empty() || t < points_.front().t) return 0.0;
-  // Last point with time <= t.
-  auto it = std::upper_bound(points_.begin(), points_.end(), t,
-                             [](double x, const Point& p) { return x < p.t; });
-  return std::prev(it)->v;
+template <class Series>
+std::size_t StepSeries<Series>::upper(double t) const {
+  std::size_t lo = 0;
+  std::size_t n = self().size();
+  while (n > 0) {
+    const std::size_t half = n / 2;
+    if (t < self().time(lo + half)) {
+      n = half;
+    } else {
+      lo += half + 1;
+      n -= half + 1;
+    }
+  }
+  return lo;
 }
 
-double TimeSeries::average_over(double t0, double t1) const {
-  if (t1 <= t0 || points_.empty()) return 0.0;
+template <class Series>
+double StepSeries<Series>::average_over(double t0, double t1) const {
+  const Series& s = self();
+  if (t1 <= t0 || empty()) return 0.0;
   double integral = 0.0;
   double cur_t = t0;
   double cur_v = value_at(t0);
   // Samples are time-ordered (enforced by add), so jump straight to the
-  // first point inside (t0, t1) instead of scanning from the beginning —
+  // first sample inside (t0, t1) instead of scanning from the beginning —
   // windowed queries over long runs were quadratic otherwise.
-  auto it = std::upper_bound(points_.begin(), points_.end(), t0,
-                             [](double x, const Point& p) { return x < p.t; });
-  for (; it != points_.end() && it->t < t1; ++it) {
-    integral += cur_v * (it->t - cur_t);
-    cur_t = it->t;
-    cur_v = it->v;
+  for (std::size_t i = upper(t0); i < s.size() && s.time(i) < t1; ++i) {
+    integral += cur_v * (s.time(i) - cur_t);
+    cur_t = s.time(i);
+    cur_v = s.value(i);
   }
   integral += cur_v * (t1 - cur_t);
   return integral / (t1 - t0);
 }
 
-double TimeSeries::min_over(double t0, double t1) const {
-  if (t1 < t0 || points_.empty()) return 0.0;
+template <class Series>
+double StepSeries<Series>::min_over(double t0, double t1) const {
+  const Series& s = self();
+  if (t1 < t0 || empty()) return 0.0;
   // Seed with the value carried into the window (the step function's
   // value at t0, like average_over): a window containing no sample
   // points still has a value across it, not 0.
   double m = value_at(t0);
-  auto it = std::upper_bound(points_.begin(), points_.end(), t0,
-                             [](double x, const Point& p) { return x < p.t; });
-  for (; it != points_.end() && it->t <= t1; ++it) m = std::min(m, it->v);
+  for (std::size_t i = upper(t0); i < s.size() && s.time(i) <= t1; ++i) {
+    m = std::min(m, s.value(i));
+  }
   return m;
 }
 
-double TimeSeries::max_over(double t0, double t1) const {
-  if (t1 < t0 || points_.empty()) return 0.0;
+template <class Series>
+double StepSeries<Series>::max_over(double t0, double t1) const {
+  const Series& s = self();
+  if (t1 < t0 || empty()) return 0.0;
   double m = value_at(t0);
-  auto it = std::upper_bound(points_.begin(), points_.end(), t0,
-                             [](double x, const Point& p) { return x < p.t; });
-  for (; it != points_.end() && it->t <= t1; ++it) m = std::max(m, it->v);
+  for (std::size_t i = upper(t0); i < s.size() && s.time(i) <= t1; ++i) {
+    m = std::max(m, s.value(i));
+  }
   return m;
 }
+
+std::size_t CountSeries::bytes() const {
+  std::size_t wide = 0;
+  for (std::size_t i = 0; i < size(); i += kBlockPoints) {
+    if (counts_.block_of(i).wide) wide += kBlockPoints * sizeof(std::uint64_t);
+  }
+  return counts_.bytes() + wide;
+}
+
+template class StepSeries<TimeSeries>;
+template class StepSeries<CountSeries>;
 
 }  // namespace corelite::stats

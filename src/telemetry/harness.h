@@ -19,6 +19,7 @@
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
 #include "sim/hotpath.h"
+#include "stats/flow_tracker.h"
 #include "telemetry/manifest.h"
 #include "telemetry/trace.h"
 #include "telemetry/virtual_trace.h"
@@ -143,6 +144,15 @@ inline void print_hotpath_profile(const std::string& scope) {
               static_cast<unsigned long long>(c.cross_lp_events),
               static_cast<unsigned long long>(c.mailbox_flushes));
   std::printf("  lp lookahead         %12.3f ms\n", c.lookahead_ns / 1e6);
+}
+
+/// --profile on a single run: what the run's measurement series hold.
+inline void print_series_footprint(const stats::FlowTracker& tracker) {
+  const stats::SeriesFootprint f = tracker.footprint();
+  std::printf("  series footprint     %12.2f MB  (rate %zu, cumulative %zu, delay %zu points; "
+              "delay %.2f MB)\n",
+              static_cast<double>(f.series_bytes + f.delay_bytes) / 1e6, f.rate_points,
+              f.cumulative_points, f.delay_points, static_cast<double>(f.delay_bytes) / 1e6);
 }
 
 }  // namespace corelite::telemetry

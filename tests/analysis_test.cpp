@@ -64,7 +64,7 @@ TEST(LimdModel, ConvergencePredictionHoldsInSimulation) {
         predict_time_to_share(spec.corelite.adapt, spec.corelite.edge_epoch, ideal.at(f));
     // First time the measured rate reaches the share.
     double reached = spec.duration.sec();
-    for (const auto& pt : r.tracker.series(f).allotted_rate.points()) {
+    for (const auto pt : r.tracker.series(f).allotted_rate) {
       if (pt.v >= ideal.at(f)) {
         reached = pt.t;
         break;

@@ -154,7 +154,7 @@ TEST(Network, ControlLossRateDefaultsOff) {
 TEST(CsvWriter, TableHandlesEmptySeries) {
   stats::TimeSeries empty;
   std::ostringstream os;
-  stats::write_table(os, {{"x", &empty}}, 0.0, 2.0, 1.0);
+  stats::write_table(os, {{"x", empty}}, 0.0, 2.0, 1.0);
   // Three grid rows of zeros, no crash.
   const std::string out = os.str();
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);  // header + 3 rows

@@ -316,12 +316,12 @@ TEST(Determinism, SameSeedSameResults) {
   EXPECT_EQ(a.total_data_drops, b.total_data_drops);
   for (std::size_t i = 1; i <= spec.num_flows; ++i) {
     const auto f = static_cast<net::FlowId>(i);
-    const auto& ra = a.tracker.series(f).allotted_rate.points();
-    const auto& rb = b.tracker.series(f).allotted_rate.points();
+    const auto& ra = a.tracker.series(f).allotted_rate;
+    const auto& rb = b.tracker.series(f).allotted_rate;
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t k = 0; k < ra.size(); ++k) {
-      ASSERT_DOUBLE_EQ(ra[k].t, rb[k].t);
-      ASSERT_DOUBLE_EQ(ra[k].v, rb[k].v);
+      ASSERT_DOUBLE_EQ(ra.time(k), rb.time(k));
+      ASSERT_DOUBLE_EQ(ra.value(k), rb.value(k));
     }
   }
 }

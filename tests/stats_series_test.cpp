@@ -1,0 +1,341 @@
+// Block-stored series against a plain vector reference, the tracker's
+// per-LP sample clocks against serial sampling, and the measurement
+// memory budget of a small steady run.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
+#include <vector>
+
+#include "scenario/scenario.h"
+#include "stats/flow_tracker.h"
+#include "stats/time_series.h"
+
+namespace corelite::stats {
+namespace {
+
+/// The series as a growing vector of points, with the step-function
+/// reads written straight against it.
+struct RefSeries {
+  std::vector<SeriesPoint> pts;
+
+  void add(double t, double v) { pts.push_back({t, v}); }
+  auto upper(double t) const {
+    return std::upper_bound(pts.begin(), pts.end(), t,
+                            [](double x, const SeriesPoint& p) { return x < p.t; });
+  }
+  double value_at(double t) const {
+    if (pts.empty() || t < pts.front().t) return 0.0;
+    return std::prev(upper(t))->v;
+  }
+  double last_value() const { return pts.empty() ? 0.0 : pts.back().v; }
+  double average_over(double t0, double t1) const {
+    if (t1 <= t0 || pts.empty()) return 0.0;
+    double integral = 0.0;
+    double cur_t = t0;
+    double cur_v = value_at(t0);
+    for (auto it = upper(t0); it != pts.end() && it->t < t1; ++it) {
+      integral += cur_v * (it->t - cur_t);
+      cur_t = it->t;
+      cur_v = it->v;
+    }
+    integral += cur_v * (t1 - cur_t);
+    return integral / (t1 - t0);
+  }
+  template <class Pick>
+  double extreme_over(double t0, double t1, Pick pick) const {
+    if (t1 < t0 || pts.empty()) return 0.0;
+    double m = value_at(t0);
+    for (auto it = upper(t0); it != pts.end() && it->t <= t1; ++it) m = pick(m, it->v);
+    return m;
+  }
+  double min_over(double t0, double t1) const {
+    return extreme_over(t0, t1, [](double a, double b) { return std::min(a, b); });
+  }
+  double max_over(double t0, double t1) const {
+    return extreme_over(t0, t1, [](double a, double b) { return std::max(a, b); });
+  }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every read of `s` bit-equal to the reference, on query times that
+/// hit samples exactly, fall between them and lie outside the series.
+template <class Series>
+void expect_same_reads(const Series& s, const RefSeries& ref, std::mt19937_64& rng) {
+  ASSERT_EQ(s.size(), ref.pts.size());
+  std::size_t k = 0;
+  for (const auto p : s) {
+    ASSERT_LT(k, ref.pts.size());
+    EXPECT_EQ(bits(p.t), bits(ref.pts[k].t)) << k;
+    EXPECT_EQ(bits(p.v), bits(ref.pts[k].v)) << k;
+    ++k;
+  }
+  EXPECT_EQ(k, ref.pts.size());
+  EXPECT_EQ(bits(s.last_value()), bits(ref.last_value()));
+
+  std::vector<double> probes{-1.0, 0.0, 1e9};
+  for (const auto& p : ref.pts) {
+    probes.push_back(p.t);
+    probes.push_back(p.t + 0.25);
+    probes.push_back(std::nextafter(p.t, -1e300));
+  }
+  const double span = ref.pts.empty() ? 1.0 : ref.pts.back().t + 1.0;
+  std::uniform_real_distribution<double> any(-1.0, span);
+  for (int i = 0; i < 200; ++i) probes.push_back(any(rng));
+  for (double t : probes) EXPECT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << t;
+
+  std::uniform_int_distribution<std::size_t> pick(0, probes.size() - 1);
+  for (int i = 0; i < 400; ++i) {
+    const double t0 = probes[pick(rng)];
+    const double t1 = i % 5 == 0 ? t0 : probes[pick(rng)];  // degenerate and inverted too
+    EXPECT_EQ(bits(s.average_over(t0, t1)), bits(ref.average_over(t0, t1))) << t0 << " " << t1;
+    EXPECT_EQ(bits(s.min_over(t0, t1)), bits(ref.min_over(t0, t1))) << t0 << " " << t1;
+    EXPECT_EQ(bits(s.max_over(t0, t1)), bits(ref.max_over(t0, t1))) << t0 << " " << t1;
+  }
+}
+
+/// Time-ordered sample times with ties: about a third repeat the last.
+std::vector<double> sample_times(std::size_t n, std::mt19937_64& rng) {
+  std::vector<double> ts;
+  std::uniform_real_distribution<double> step(0.0, 2.0);
+  double t = step(rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng() % 3 != 0) t += step(rng);
+    ts.push_back(t);
+  }
+  return ts;
+}
+
+// Short series, exactly one block, one past it, and many blocks.
+constexpr std::size_t kSizes[] = {0, 1, 7, kBlockPoints - 1, kBlockPoints, kBlockPoints + 1,
+                                  3 * kBlockPoints, 2500};
+
+TEST(BlockSeries, TimeSeriesReadsMatchVectorReference) {
+  std::mt19937_64 rng{11};
+  for (std::size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    TimeSeries s;
+    RefSeries ref;
+    std::normal_distribution<double> val(50.0, 30.0);
+    for (double t : sample_times(n, rng)) {
+      const double v = val(rng);
+      s.add(t, v);
+      ref.add(t, v);
+    }
+    expect_same_reads(s, ref, rng);
+  }
+}
+
+TEST(BlockSeries, CountSeriesReadsMatchVectorReference) {
+  std::mt19937_64 rng{12};
+  for (std::size_t n : kSizes) {
+    SCOPED_TRACE(n);
+    SampleClock clock;
+    // A second series joins the clock late: its first count is the
+    // clock's newest time, not the clock's first.
+    CountSeries s{clock};
+    CountSeries late{clock};
+    RefSeries ref;
+    RefSeries ref_late;
+    std::uint64_t count = rng() % 1000;
+    const auto times = sample_times(n, rng);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      clock.add(times[i]);
+      count += rng() % 50;
+      s.add(count);
+      ref.add(times[i], static_cast<double>(count));
+      if (i >= n / 3) {
+        late.add(count / 2);
+        ref_late.add(times[i], static_cast<double>(count / 2));
+      }
+    }
+    expect_same_reads(s, ref, rng);
+    expect_same_reads(late, ref_late, rng);
+  }
+}
+
+TEST(BlockSeries, CountsStayExactPast32Bits) {
+  SampleClock clock;
+  CountSeries s{clock};
+  const std::uint64_t big = std::uint64_t{1} << 40;
+  std::vector<std::uint64_t> want;
+  // Block 0: counts past 2^32 that fit 32-bit offsets from the base.
+  for (std::uint64_t i = 0; i < kBlockPoints; ++i) want.push_back(big + i * 1000);
+  // Block 1: counts spreading over 2^32 inside the block.
+  for (std::uint64_t i = 0; i < kBlockPoints; ++i) want.push_back(big + i * 0x7fffffffULL);
+  // Block 2: counts below the block's first, up to the largest count.
+  want.push_back(2 * big);
+  want.push_back(5);
+  want.push_back(std::numeric_limits<std::uint64_t>::max());
+  for (std::uint64_t i = 3; i < kBlockPoints; ++i) want.push_back(2 * big + i);
+  // A partial block 3.
+  for (std::uint64_t i = 0; i < 5; ++i) want.push_back(3 * big + i);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    clock.add(static_cast<double>(i));
+    s.add(want[i]);
+  }
+  ASSERT_EQ(s.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(s.count(i), want[i]) << i;
+    EXPECT_EQ(bits(s.value(i)), bits(static_cast<double>(want[i]))) << i;
+  }
+}
+
+TEST(BlockSeries, RecycledBlocksComeBackEmpty) {
+  // A block that went wide returns to the pool; the next series to get
+  // it must hold plain 32-bit offsets again (no stale 64-bit copies).
+  SampleClock clock;
+  std::size_t narrow_bytes = 0;
+  {
+    CountSeries wide{clock};
+    clock.add(0.0);
+    wide.add(0);
+    narrow_bytes = wide.bytes();
+    clock.add(1.0);
+    wide.add(std::uint64_t{1} << 40);
+    ASSERT_EQ(wide.bytes(), narrow_bytes + kBlockPoints * sizeof(std::uint64_t));
+  }
+  CountSeries narrow{clock};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    clock.add(static_cast<double>(clock.size()));
+    narrow.add(7 + i);
+  }
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(narrow.count(i), 7 + i);
+  EXPECT_EQ(narrow.bytes(), narrow_bytes);
+}
+
+TEST(BlockSeries, GrowthKeepsAtMostOneBlockOfSlack) {
+  TimeSeries s;
+  SampleClock clock;
+  CountSeries c{clock};
+  EXPECT_EQ(s.bytes(), 0u);
+  EXPECT_EQ(c.bytes(), 0u);
+  for (std::size_t n = 1; n <= 10 * kBlockPoints; ++n) {
+    s.add(static_cast<double>(n), 1.0);
+    clock.add(static_cast<double>(n));
+    c.add(n);
+    const std::size_t blocks = (n + kBlockPoints - 1) / kBlockPoints;
+    // Whole blocks plus a pointer table of at most max(4, 2 x blocks).
+    const std::size_t table = std::max<std::size_t>(4, 2 * blocks) * sizeof(void*);
+    EXPECT_LE(s.bytes(), blocks * kBlockPoints * sizeof(SeriesPoint) + table);
+    EXPECT_LE(c.bytes(), blocks * (kBlockPoints * 4 + 24) + table);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FlowTracker: per-LP sample clocks
+
+/// The samples a tracker holds, per flow, as (t, v) points.
+std::map<net::FlowId, std::vector<SeriesPoint>> cumulative_points(const FlowTracker& t) {
+  std::map<net::FlowId, std::vector<SeriesPoint>> out;
+  for (const auto& [id, fs] : t.all()) {
+    for (const auto p : fs.cumulative_delivered) out[id].push_back(p);
+  }
+  return out;
+}
+
+TEST(FlowTrackerClocks, PerLpSamplingReadsLikeSerialSampling) {
+  // Global sample, per-LP subset samples, global sample — the parallel
+  // runner's order.  Deliveries land between sample rounds, so a serial
+  // tracker fed the same calls with one global sample per round must
+  // read the same per-flow (t, v) sequence; so must a per-flow vector
+  // fed the subset samples directly.
+  FlowTracker lp;
+  FlowTracker serial;
+  std::map<net::FlowId, std::vector<SeriesPoint>> ref;
+  for (net::FlowId id = 1; id <= 6; ++id) {
+    lp.declare_flow(id, 1.0);
+    serial.declare_flow(id, 1.0);
+  }
+  const std::vector<net::FlowId> lp0{1, 3, 4};
+  const std::vector<net::FlowId> lp1{2, 5, 6};
+  const std::size_t c0 = lp.add_sample_clock(lp0);
+  const std::size_t c1 = lp.add_sample_clock(lp1);
+
+  auto deliver = [&](net::FlowId id, int n) {
+    for (int i = 0; i < n; ++i) {
+      lp.on_delivered(id);
+      serial.on_delivered(id);
+    }
+  };
+  auto ref_sample = [&](double t, const std::vector<net::FlowId>& ids) {
+    for (net::FlowId id : ids) {
+      ref[id].push_back({t, static_cast<double>(lp.series(id).delivered)});
+    }
+  };
+  const std::vector<net::FlowId> all{1, 2, 3, 4, 5, 6};
+
+  lp.sample_cumulative(sim::SimTime::seconds(0));
+  serial.sample_cumulative(sim::SimTime::seconds(0));
+  ref_sample(0.0, all);
+  for (int round = 1; round <= 2 * static_cast<int>(kBlockPoints) + 5; ++round) {
+    for (net::FlowId id = 1; id <= 6; ++id) deliver(id, (round * static_cast<int>(id)) % 7);
+    const double t = 0.5 * round;
+    lp.sample_cumulative(sim::SimTime::seconds(t), c1);  // LPs in either order
+    lp.sample_cumulative(sim::SimTime::seconds(t), c0);
+    serial.sample_cumulative(sim::SimTime::seconds(t));
+    ref_sample(t, lp1);
+    ref_sample(t, lp0);
+  }
+  deliver(4, 3);
+  lp.sample_cumulative(sim::SimTime::seconds(1000));
+  serial.sample_cumulative(sim::SimTime::seconds(1000));
+  ref_sample(1000.0, all);
+
+  const auto got = cumulative_points(lp);
+  const auto want = cumulative_points(serial);
+  ASSERT_EQ(got.size(), 6u);
+  for (net::FlowId id = 1; id <= 6; ++id) {
+    SCOPED_TRACE(id);
+    ASSERT_EQ(got.at(id).size(), want.at(id).size());
+    ASSERT_EQ(got.at(id).size(), ref.at(id).size());
+    for (std::size_t k = 0; k < got.at(id).size(); ++k) {
+      EXPECT_EQ(bits(got.at(id)[k].t), bits(want.at(id)[k].t)) << k;
+      EXPECT_EQ(bits(got.at(id)[k].v), bits(want.at(id)[k].v)) << k;
+      EXPECT_EQ(bits(got.at(id)[k].t), bits(ref.at(id)[k].t)) << k;
+      EXPECT_EQ(bits(got.at(id)[k].v), bits(ref.at(id)[k].v)) << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Memory budget
+
+/// Rate points cost at most 16 B and cumulative points at most 8 B,
+/// plus at most one block (the larger kind's) per series.
+void expect_within_budget(const FlowTracker& t) {
+  const SeriesFootprint f = t.footprint();
+  EXPECT_GT(f.rate_points, 0u);
+  EXPECT_GT(f.cumulative_points, 0u);
+  const std::size_t series = 2 * t.flow_count();
+  const std::size_t block = kBlockPoints * sizeof(SeriesPoint);
+  EXPECT_LE(f.series_bytes, 16 * f.rate_points + 8 * f.cumulative_points + series * block)
+      << "rate " << f.rate_points << " cumulative " << f.cumulative_points;
+}
+
+TEST(SeriesBudget, SmallSteadyCsfqRunStaysWithinBudget) {
+  std::size_t serial_points = 0;
+  for (std::size_t lp : {1, 2}) {
+    SCOPED_TRACE(lp);
+    auto spec = scenario::scenario_by_name("gen-pl4-60-steady", scenario::Mechanism::Csfq);
+    ASSERT_TRUE(spec.has_value());
+    spec->duration = sim::SimTime::seconds(40);
+    spec->lp = lp;
+    const auto r = scenario::run_paper_scenario(*spec);
+    ASSERT_EQ(r.tracker.flow_count(), 60u);
+    expect_within_budget(r.tracker);
+    // Per-LP clocks sample at the serial clock's instants.
+    const std::size_t points = r.tracker.footprint().cumulative_points;
+    if (lp == 1) serial_points = points;
+    EXPECT_EQ(points, serial_points);
+    EXPECT_GE(points, 60u * 40u);
+  }
+}
+
+}  // namespace
+}  // namespace corelite::stats

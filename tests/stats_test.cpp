@@ -143,7 +143,7 @@ TEST(CsvWriter, GridAndHeader) {
   TimeSeries b;
   b.add(0.5, 10.0);
   std::ostringstream os;
-  write_csv(os, {{"a", &a}, {"b", &b}}, 0.0, 2.0, 1.0);
+  write_csv(os, {{"a", a}, {"b", b}}, 0.0, 2.0, 1.0);
   EXPECT_EQ(os.str(), "t,a,b\n0,1,0\n1,2,10\n2,2,10\n");
 }
 
@@ -151,7 +151,7 @@ TEST(CsvWriter, TableContainsValues) {
   TimeSeries a;
   a.add(0.0, 3.25);
   std::ostringstream os;
-  write_table(os, {{"x", &a}}, 0.0, 1.0, 1.0);
+  write_table(os, {{"x", a}}, 0.0, 1.0, 1.0);
   const std::string out = os.str();
   EXPECT_NE(out.find("3.25"), std::string::npos);
   EXPECT_NE(out.find("x"), std::string::npos);

@@ -262,7 +262,7 @@ TEST(GeneratedRunner, CountersOnlyModeKeepsCountersExact) {
   EXPECT_EQ(with_series.total_data_drops, counters_only.total_data_drops);
   EXPECT_EQ(with_series.tracker.total_delivered(), counters_only.tracker.total_delivered());
   for (const auto& [id, fs] : counters_only.tracker.all()) {
-    EXPECT_TRUE(fs.allotted_rate.points().empty()) << id;
+    EXPECT_TRUE(fs.allotted_rate.empty()) << id;
     EXPECT_EQ(fs.delivered, with_series.tracker.series(id).delivered) << id;
   }
 }

@@ -394,7 +394,9 @@ int main(int argc, char** argv) {
   parser.add_string("sweep-mechanisms", "",
                     "comma-separated mechanism list for the sweep grid (default: --mechanism)");
   parser.add_string("sweep-csv", "", "write per-cell sweep statistics CSV to this path");
-  parser.add_flag("profile", "print the always-on hot-path op counters after the run");
+  parser.add_flag("profile",
+                  "print the always-on hot-path op counters (and, for one run, the "
+                  "series footprint) after the run");
   register_telemetry_options(parser);
 
   if (!parser.parse(argc, argv, std::cerr)) return 2;
@@ -480,11 +482,12 @@ int main(int argc, char** argv) {
   }
 
   auto dump_csv = [&](const std::string& path, bool cumulative) {
-    std::map<std::string, const corelite::stats::TimeSeries*> series;
+    std::map<std::string, corelite::stats::SeriesRef> series;
     for (std::size_t i = 1; i <= spec->num_flows; ++i) {
       const auto& fs = result.tracker.series(static_cast<corelite::net::FlowId>(i));
-      series["flow" + std::to_string(i)] =
-          cumulative ? &fs.cumulative_delivered : &fs.allotted_rate;
+      series.emplace("flow" + std::to_string(i),
+                     cumulative ? corelite::stats::SeriesRef{fs.cumulative_delivered}
+                                : corelite::stats::SeriesRef{fs.allotted_rate});
     }
     std::ofstream os{path};
     if (!os) {
@@ -515,7 +518,10 @@ int main(int argc, char** argv) {
     corelite::stats::write_run_json(os, meta, result.tracker);
     std::fprintf(stderr, "wrote %s\n", parser.get_string("json").c_str());
   }
-  if (parser.get_flag("profile")) tel::print_hotpath_profile("process totals");
+  if (parser.get_flag("profile")) {
+    tel::print_hotpath_profile("process totals");
+    tel::print_series_footprint(result.tracker);
+  }
 
   if (audit.on) {
     tel::AuditDocument doc;
