@@ -8,16 +8,15 @@
 //      cost of the cancellation control block,
 //   3. steady-state packet forwarding on a live link, asserting the
 //      zero-allocations-per-hop property end to end,
-//   4. the 80-flow scale_flows rows (wall clock), tying the micro
-//      numbers back to a full scenario,
-//   5. short-horizon and cold-record dispatch, each with the wheel on
+//   4. short-horizon and cold-record dispatch, each with the wheel on
 //      and off (CORELITE_NO_WHEEL).
+// Whole-scenario wall times live in bench/e2e (the paper-matrix
+// workload runs the fig3/5/7/9 rows under every mechanism).
 //
 // Results go to stdout and, machine-readable, to
 // BENCH_event_engine.json in the working directory.  Every number is a
 // measurement of this build on this host; compare two builds by running
 // both on one machine, never against numbers from another.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "scenario/scenario.h"
 #include "sim/hotpath.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -72,7 +70,6 @@ namespace {
 
 namespace sim = corelite::sim;
 namespace net = corelite::net;
-namespace sc = corelite::scenario;
 
 double now_seconds() {
   using clock = std::chrono::steady_clock;
@@ -81,6 +78,10 @@ double now_seconds() {
 
 constexpr std::uint64_t kEvents = 2'000'000;
 constexpr std::size_t kChains = 8;
+// Warm-up firings before a loop is measured: the chains fire 8 events
+// per simulated microsecond, so this laps the level-0 wheel (~2 ms)
+// several times and every slot has grown before allocations count.
+constexpr std::uint64_t kLoopWarmup = 65'536;
 
 // Empirical schedule-delay distribution of the event engine's real
 // traffic: 64 evenly spaced quantiles of the 670k schedule() deltas of a
@@ -114,10 +115,6 @@ constexpr double kCsfq80ScheduleDelays[64] = {
 constexpr std::size_t kShortChains = 4096;
 constexpr std::uint64_t kShortEvents = 4'000'000;
 constexpr std::uint64_t kShortWarmup = 200'000;
-// Wall time of a scale row is the median of this many back-to-back
-// runs: single cold runs on a shared box carry +-15 ms of scheduler
-// noise, which is the same order as the margin being measured.
-constexpr int kRowRepeats = 5;
 
 struct LoopResult {
   std::uint64_t events = 0;
@@ -137,8 +134,9 @@ void arm_detached(sim::Simulator& s, std::uint64_t& fired, std::uint64_t limit) 
 LoopResult run_detached_loop() {
   sim::Simulator s;
   std::uint64_t fired = 0;
-  // Warm the slot pool and heap storage before counting.
-  arm_detached(s, fired, 1024);
+  // Warm the slot pool and queue storage with every chain the measured
+  // loop runs, so allocs/event reads the steady state.
+  for (std::size_t c = 0; c < kChains; ++c) arm_detached(s, fired, kLoopWarmup);
   s.run();
   fired = 0;
 
@@ -165,7 +163,7 @@ void arm_handled(sim::Simulator& s, std::uint64_t& fired, std::uint64_t limit) {
 LoopResult run_handled_loop() {
   sim::Simulator s;
   std::uint64_t fired = 0;
-  arm_handled(s, fired, 1024);
+  for (std::size_t c = 0; c < kChains; ++c) arm_handled(s, fired, kLoopWarmup);
   s.run();
   fired = 0;
 
@@ -384,54 +382,11 @@ ForwardingResult run_forwarding_loop() {
   return r;
 }
 
-struct ScaleRow {
-  double wall_ms = 0.0;          ///< median over kRowRepeats runs
-  sim::HotPathCounters ops;      ///< op counts of one run (deterministic)
-};
-
-ScaleRow run_scale_row(sc::Mechanism mech, bool wheel_on = true) {
-  if (wheel_on) {
-    unsetenv("CORELITE_NO_WHEEL");
-  } else {
-    setenv("CORELITE_NO_WHEEL", "1", 1);
-  }
-  sc::ScenarioSpec spec;
-  spec.mechanism = mech;
-  spec.num_flows = 80;
-  spec.duration = sim::SimTime::seconds(60);
-  spec.weights.resize(80);
-  for (std::size_t i = 0; i < 80; ++i) spec.weights[i] = static_cast<double>(i % 3 + 1);
-
-  double walls[kRowRepeats];
-  ScaleRow row;
-  for (int rep = 0; rep < kRowRepeats; ++rep) {
-    sim::reset_hotpath_counters();
-    const double t0 = now_seconds();
-    const auto r = sc::run_paper_scenario(spec);
-    walls[rep] = (now_seconds() - t0) * 1e3;
-    // Keep the run honest: the result must be materially the same workload.
-    if (r.events_processed < 100000) std::abort();
-    row.ops = sim::aggregated_hotpath_counters();
-  }
-  std::sort(walls, walls + kRowRepeats);
-  row.wall_ms = walls[kRowRepeats / 2];
-  unsetenv("CORELITE_NO_WHEEL");
-  return row;
-}
-
 }  // namespace
 
 int main() {
   std::printf("Event-engine microbenchmark (%llu events, %zu chains, 24-byte captures)\n\n",
               static_cast<unsigned long long>(kEvents), kChains);
-
-  // Scenario rows first, before the hot loops heat the machine.
-  const ScaleRow row_cl = run_scale_row(sc::Mechanism::Corelite);
-  const ScaleRow row_cs = run_scale_row(sc::Mechanism::Csfq);
-  const ScaleRow row_cl_off = run_scale_row(sc::Mechanism::Corelite, /*wheel_on=*/false);
-  const ScaleRow row_cs_off = run_scale_row(sc::Mechanism::Csfq, /*wheel_on=*/false);
-  const double cl80 = row_cl.wall_ms;
-  const double cs80 = row_cs.wall_ms;
 
   const LoopResult detached = run_detached_loop();
   std::printf("detached schedule/fire : %8.2f M events/s   %.4f allocs/event\n",
@@ -471,17 +426,6 @@ int main() {
               static_cast<unsigned long long>(fwd.allocs),
               static_cast<unsigned long long>(fwd.hops));
 
-  std::printf("scale_flows 80 flows   : corelite %.1f ms, csfq %.1f ms wall (median of %d; "
-              "wheel off: %.1f / %.1f ms)\n",
-              cl80, cs80, kRowRepeats, row_cl_off.wall_ms, row_cs_off.wall_ms);
-  std::printf("hot-path ops (csfq-80) : %llu exp calls, %llu rng draws, "
-              "%llu observer dispatches\n",
-              static_cast<unsigned long long>(row_cs.ops.exp_calls),
-              static_cast<unsigned long long>(row_cs.ops.rng_draws),
-              static_cast<unsigned long long>(row_cs.ops.observer_dispatches));
-  std::printf("wheel (csfq-80)        : %.1f%% wheel inserts, %llu cascades\n",
-              row_cs.ops.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(row_cs.ops.wheel_cascades));
 
   std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
   if (json != nullptr) {
@@ -526,36 +470,6 @@ int main() {
                  "    \"allocs\": %llu,\n"
                  "    \"allocs_per_hop\": %.6f,\n"
                  "    \"hops_per_sec\": %.0f\n"
-                 "  },\n"
-                 "  \"scale_flows_80\": {\n"
-                 "    \"corelite_wall_ms\": %.1f,\n"
-                 "    \"csfq_wall_ms\": %.1f,\n"
-                 "    \"corelite_wall_ms_wheel_off\": %.1f,\n"
-                 "    \"csfq_wall_ms_wheel_off\": %.1f,\n"
-                 "    \"row_repeats\": %d,\n"
-                 "    \"row_statistic\": \"median\"\n"
-                 "  },\n"
-                 "  \"hot_path_counters\": {\n"
-                 "    \"corelite_80\": {\n"
-                 "      \"exp_calls\": %llu,\n"
-                 "      \"pow_calls\": %llu,\n"
-                 "      \"rng_draws\": %llu,\n"
-                 "      \"observer_dispatches\": %llu,\n"
-                 "      \"series_appends\": %llu,\n"
-                 "      \"wheel_inserts\": %llu,\n"
-                 "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu\n"
-                 "    },\n"
-                 "    \"csfq_80\": {\n"
-                 "      \"exp_calls\": %llu,\n"
-                 "      \"pow_calls\": %llu,\n"
-                 "      \"rng_draws\": %llu,\n"
-                 "      \"observer_dispatches\": %llu,\n"
-                 "      \"series_appends\": %llu,\n"
-                 "      \"wheel_inserts\": %llu,\n"
-                 "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu\n"
-                 "    }\n"
                  "  }\n"
                  "}\n",
                  std::thread::hardware_concurrency(),
@@ -571,24 +485,7 @@ int main() {
                  static_cast<unsigned long long>(cold_off.order_checksum),
                  static_cast<unsigned long long>(fwd.hops),
                  static_cast<unsigned long long>(fwd.allocs), fwd.allocs_per_hop,
-                 fwd.hops_per_sec,
-                 cl80, cs80, row_cl_off.wall_ms, row_cs_off.wall_ms, kRowRepeats,
-                 static_cast<unsigned long long>(row_cl.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cl.ops.pow_calls),
-                 static_cast<unsigned long long>(row_cl.ops.rng_draws),
-                 static_cast<unsigned long long>(row_cl.ops.observer_dispatches),
-                 static_cast<unsigned long long>(row_cl.ops.series_appends),
-                 static_cast<unsigned long long>(row_cl.ops.wheel_inserts),
-                 static_cast<unsigned long long>(row_cl.ops.wheel_cascades),
-                 static_cast<unsigned long long>(row_cl.ops.heap_inserts),
-                 static_cast<unsigned long long>(row_cs.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cs.ops.pow_calls),
-                 static_cast<unsigned long long>(row_cs.ops.rng_draws),
-                 static_cast<unsigned long long>(row_cs.ops.observer_dispatches),
-                 static_cast<unsigned long long>(row_cs.ops.series_appends),
-                 static_cast<unsigned long long>(row_cs.ops.wheel_inserts),
-                 static_cast<unsigned long long>(row_cs.ops.wheel_cascades),
-                 static_cast<unsigned long long>(row_cs.ops.heap_inserts));
+                 fwd.hops_per_sec);
     std::fclose(json);
     std::printf("wrote BENCH_event_engine.json\n");
   }

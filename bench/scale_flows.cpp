@@ -364,13 +364,7 @@ int main(int argc, char** argv) {
                  "\"cert_rejects_drift\": %llu, \"cert_rejects_agreement\": %llu, "
                  "\"cert_mean_dwell_at_accept\": %.6g, "
                  "\"speedup_vs_packet\": %.3f, \"delivered\": %llu, "
-                 "\"drops\": %llu, \"jain\": %.6f, \"rng_draws\": %llu, "
-                 "\"wheel_inserts\": %llu, \"series_appends\": %llu, "
-                 "\"lp_barriers\": %llu, \"cross_lp_events\": %llu, "
-                 "\"mailbox_flushes\": %llu, \"lookahead_ms\": %.6g, "
-                 "\"cross_lp_fraction\": %.6g, \"speedup_vs_serial\": %.3f, "
-                 "\"digest_match_serial_stepped\": %s, \"rss_kb\": %ld, "
-                 "\"peak_rss_kb\": %ld, \"digest\": \"%s\"}%s\n",
+                 "\"drops\": %llu, \"jain\": %.6f, ",
                  r.desc.num_flows, r.desc.scenario.c_str(), r.desc.lp, hw_threads,
                  r.desc.fluid ? "true" : "false", row.ok ? "true" : "false", r.wall_ms,
                  static_cast<unsigned long long>(r.events),
@@ -385,13 +379,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r.cert_rejects_agreement),
                  r.cert_mean_dwell_at_accept, r.desc.fluid ? row.speedup : 0.0,
                  static_cast<unsigned long long>(r.delivered),
-                 static_cast<unsigned long long>(r.total_drops), r.jain,
-                 static_cast<unsigned long long>(ops.rng_draws),
-                 static_cast<unsigned long long>(ops.wheel_inserts),
-                 static_cast<unsigned long long>(ops.series_appends),
-                 static_cast<unsigned long long>(ops.lp_barriers),
-                 static_cast<unsigned long long>(ops.cross_lp_events),
-                 static_cast<unsigned long long>(ops.mailbox_flushes), ops.lookahead_ns / 1e6,
+                 static_cast<unsigned long long>(r.total_drops), r.jain);
+    for (const sim::HotPathCounterField& c : sim::hotpath_counter_fields()) {
+      std::fprintf(f, "\"%.*s\": %llu, ", static_cast<int>(c.key.size()), c.key.data(),
+                   static_cast<unsigned long long>(ops.*c.member));
+    }
+    std::fprintf(f,
+                 "\"cross_lp_fraction\": %.6g, \"speedup_vs_serial\": %.3f, "
+                 "\"digest_match_serial_stepped\": %s, \"rss_kb\": %ld, "
+                 "\"peak_rss_kb\": %ld, \"digest\": \"%s\"}%s\n",
                  events > 0.0 ? static_cast<double>(ops.cross_lp_events) / events : 0.0,
                  r.desc.fluid ? 0.0 : row.speedup, row.ok ? "true" : "false", row.rss_kb,
                  row.peak_kb, tel::digest_hex(r.digest).c_str(), i + 1 < rows.size() ? "," : "");

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "telemetry/metrics.h"
+#include "sim/hotpath.h"
 
 namespace corelite::csfq {
-
-namespace {
-
-const telemetry::Counter& relabel_counter() {
-  static const telemetry::Counter c{"csfq.relabels"};
-  return c;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // CsfqLinkPolicy
@@ -76,7 +67,7 @@ bool CsfqLinkPolicy::admit(net::Packet& p, sim::SimTime now) {
     accepted_.on_arrival(1.0, now);
     // Relabel: downstream links must see the flow's *accepted* rate.
     if (alpha_ > 0.0) {
-      if (alpha_ < label) relabel_counter().add();
+      if (alpha_ < label) ++sim::hotpath_counters().csfq_relabels;
       p.label = std::min(label, alpha_);
     }
   }

@@ -6,33 +6,8 @@
 
 #include "net/network.h"
 #include "sim/hotpath.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::net {
-
-namespace {
-
-// Drop-cause counters, registered once on first use (magic statics) so
-// disabled telemetry costs one relaxed load per drop — drops are off the
-// per-packet fast path, so this is invisible in the wall-time budget.
-const telemetry::Counter& drops_admission() {
-  static const telemetry::Counter c{"net.drops.admission"};
-  return c;
-}
-const telemetry::Counter& drops_control_loss() {
-  static const telemetry::Counter c{"net.drops.control_loss"};
-  return c;
-}
-const telemetry::Counter& drops_queue_full() {
-  static const telemetry::Counter c{"net.drops.queue_full"};
-  return c;
-}
-const telemetry::Counter& drops_queue_internal() {
-  static const telemetry::Counter c{"net.drops.queue_internal"};
-  return c;
-}
-
-}  // namespace
 
 Link::Link(sim::Simulator& simulator, Network& network, NodeId from, NodeId to, sim::Rate rate,
            sim::TimeDelta propagation_delay, std::unique_ptr<PacketQueue> queue)
@@ -51,7 +26,7 @@ Link::Link(sim::Simulator& simulator, Network& network, NodeId from, NodeId to, 
   // like rejected arrivals.
   queue_->set_internal_drop_callback([this](const Packet& p) {
     ++stats_.dropped;
-    drops_queue_internal().add();
+    ++sim::hotpath_counters().drops_queue_internal;
     notify_drop(p, sim_.now());
   });
 }
@@ -84,14 +59,14 @@ void Link::send(Packet&& p) {
 
   if (p.is_data() && admission_ != nullptr && !admission_->admit(p, now)) {
     ++stats_.dropped;
-    drops_admission().add();
+    ++sim::hotpath_counters().drops_admission;
     notify_drop(p, now);
     return;
   }
   if (p.is_control() && control_loss_rate_ > 0.0 &&
       sim_.rng().bernoulli(control_loss_rate_)) {
     ++stats_.dropped_control;
-    drops_control_loss().add();
+    ++sim::hotpath_counters().drops_control_loss;
     notify_drop(p, now);
     return;
   }
@@ -104,7 +79,7 @@ void Link::send(Packet&& p) {
     // notification can use `p` directly.
     if (!queue_->enqueue(std::move(p), now)) {
       ++stats_.dropped;
-      drops_queue_full().add();
+      ++sim::hotpath_counters().drops_queue_full;
       notify_drop(p, now);
       return;
     }
@@ -116,7 +91,7 @@ void Link::send(Packet&& p) {
     const Packet header = p;
     if (!queue_->enqueue(std::move(p), now)) {
       ++stats_.dropped;
-      drops_queue_full().add();
+      ++sim::hotpath_counters().drops_queue_full;
       notify_drop(header, now);
       return;
     }

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "runner/thread_pool.h"
-#include "sim/hotpath.h"
 
 namespace corelite::runner {
 
@@ -164,9 +163,6 @@ RunResult execute_run(const RunDescriptor& desc,
   scenario::ScenarioResult r = scenario::run_paper_scenario(*spec);
   res.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  // Publish this worker's hot-path op counts so --profile output is
-  // complete regardless of which pool thread ran which universe.
-  sim::flush_hotpath_counters();
 
   const double t_end = spec->duration.sec();
   const double w0 = t_end / 2.0;

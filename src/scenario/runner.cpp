@@ -49,7 +49,6 @@
 #include "sim/parallel/lp_runtime.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::scenario {
 
@@ -618,7 +617,6 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
     }
   }
   sim::flush_hotpath_counters();
-  telemetry::flush_thread_metrics();
   return result;
 }
 

@@ -2,49 +2,63 @@
 
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 
 namespace corelite::sim {
 
 namespace {
 
-// Every live counter field, in declaration order (batch_drained is
-// never incremented, so it is left out).  flush/aggregate/reset walk
-// this table so adding a counter is a two-line change (struct + here).
-constexpr std::uint64_t HotPathCounters::* kFields[] = {
-    &HotPathCounters::exp_calls,        &HotPathCounters::pow_calls,
-    &HotPathCounters::rng_draws,        &HotPathCounters::observer_dispatches,
-    &HotPathCounters::series_appends,   &HotPathCounters::wheel_inserts,
-    &HotPathCounters::wheel_cascades,   &HotPathCounters::heap_inserts,
-    &HotPathCounters::lp_barriers,      &HotPathCounters::cross_lp_events,
-    &HotPathCounters::mailbox_flushes,  &HotPathCounters::lookahead_ns,
+using C = HotPathCounters;
+constexpr HotPathCounterField kFields[] = {
+    {"exp_calls", &C::exp_calls},
+    {"pow_calls", &C::pow_calls},
+    {"rng_draws", &C::rng_draws},
+    {"observer_dispatches", &C::observer_dispatches},
+    {"series_appends", &C::series_appends},
+    {"wheel_inserts", &C::wheel_inserts},
+    {"wheel_cascades", &C::wheel_cascades},
+    {"heap_inserts", &C::heap_inserts},
+    {"lp_barriers", &C::lp_barriers},
+    {"cross_lp_events", &C::cross_lp_events},
+    {"mailbox_flushes", &C::mailbox_flushes},
+    {"lookahead_ns", &C::lookahead_ns},
+    {"drops_admission", &C::drops_admission},
+    {"drops_control_loss", &C::drops_control_loss},
+    {"drops_queue_full", &C::drops_queue_full},
+    {"drops_queue_internal", &C::drops_queue_internal},
+    {"markers_seen", &C::markers_seen},
+    {"feedback_sent", &C::feedback_sent},
+    {"csfq_relabels", &C::csfq_relabels},
+    {"audit_windows", &C::audit_windows},
+    {"audit_violations", &C::audit_violations},
+    {"audit_watchdog_fired", &C::audit_watchdog_fired},
 };
-constexpr std::size_t kNumFields = sizeof(kFields) / sizeof(kFields[0]);
 
-std::atomic<std::uint64_t> g_aggregate[kNumFields];
+std::atomic<std::uint64_t> g_aggregate[std::size(kFields)];
 
 }  // namespace
 
+std::span<const HotPathCounterField> hotpath_counter_fields() { return kFields; }
+
 void flush_hotpath_counters() {
   HotPathCounters& c = hotpath_counters();
-  for (std::size_t i = 0; i < kNumFields; ++i) {
-    g_aggregate[i].fetch_add(c.*kFields[i], std::memory_order_relaxed);
+  for (std::size_t i = 0; i < std::size(kFields); ++i) {
+    g_aggregate[i].fetch_add(c.*kFields[i].member, std::memory_order_relaxed);
   }
   c = HotPathCounters{};
 }
 
 HotPathCounters aggregated_hotpath_counters() {
   HotPathCounters out = hotpath_counters();
-  for (std::size_t i = 0; i < kNumFields; ++i) {
-    out.*kFields[i] += g_aggregate[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < std::size(kFields); ++i) {
+    out.*kFields[i].member += g_aggregate[i].load(std::memory_order_relaxed);
   }
   return out;
 }
 
 void reset_hotpath_counters() {
   hotpath_counters() = HotPathCounters{};
-  for (std::size_t i = 0; i < kNumFields; ++i) {
-    g_aggregate[i].store(0, std::memory_order_relaxed);
-  }
+  for (auto& a : g_aggregate) a.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace corelite::sim

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "sim/hotpath.h"
 #include "stats/fairness.h"
 
 namespace corelite::telemetry {
@@ -134,9 +135,10 @@ void FairnessAuditor::on_window(sim::SimTime now) {
   w.gauges.reserve(gauges_.size());
   for (const Gauge_& g : gauges_) w.gauges.push_back(g.poll ? g.poll() : 0.0);
 
-  // Live registry streams (cheap no-ops when telemetry is off).
-  m_windows_.add();
-  m_violations_.add(w.violations);
+  // Live counts (always on) and registry gauges (no-ops when telemetry is off).
+  sim::HotPathCounters& counters = sim::hotpath_counters();
+  ++counters.audit_windows;
+  counters.audit_violations += w.violations;
   m_jain_.set(w.jain);
   m_max_dev_.set(w.max_abs_deviation);
 
@@ -172,7 +174,7 @@ void FairnessAuditor::on_window(sim::SimTime now) {
     for (std::size_t k = 0; k < n; ++k) {
       report_.flight_recorder.push_back(ring_[(start + k) % n]);
     }
-    m_watchdog_.add();
+    ++sim::hotpath_counters().audit_watchdog_fired;
   }
 
   if (!normalized_active.empty()) report_.min_jain = std::min(report_.min_jain, w.jain);

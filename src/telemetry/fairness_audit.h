@@ -195,12 +195,10 @@ class FairnessAuditor {
 
   FairnessAuditReport report_;
 
-  // Live registry handles (no-ops unless telemetry::set_enabled(true)).
+  // Live registry gauges (no-ops unless telemetry::set_enabled(true));
+  // the window, violation and watchdog counts go to sim::HotPathCounters.
   Gauge m_jain_{"audit.jain"};
   Gauge m_max_dev_{"audit.max_abs_deviation"};
-  Counter m_windows_{"audit.windows"};
-  Counter m_violations_{"audit.violations"};
-  Counter m_watchdog_{"audit.watchdog_fired"};
 };
 
 }  // namespace corelite::telemetry

@@ -122,28 +122,17 @@ inline bool write_manifest_file(const RunManifest& manifest, const std::string& 
   return true;
 }
 
-/// --profile: print the always-on hot-path op counters, aggregated
-/// across every run (and every sweep worker thread) this process has
-/// executed so far, under the heading "hot-path profile (<scope>)".
+/// --profile: print every always-on counter, aggregated across every
+/// run (and every sweep or LP worker thread) this process has executed
+/// so far, under the heading "hot-path profile (<scope>)".
 inline void print_hotpath_profile(const std::string& scope) {
   const sim::HotPathCounters c = sim::aggregated_hotpath_counters();
   std::printf("\nhot-path profile (%s)\n", scope.c_str());
-  std::printf("  exp calls            %12llu\n", static_cast<unsigned long long>(c.exp_calls));
-  std::printf("  pow calls            %12llu\n", static_cast<unsigned long long>(c.pow_calls));
-  std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
-  std::printf("  observer dispatches  %12llu\n",
-              static_cast<unsigned long long>(c.observer_dispatches));
-  std::printf("  series appends       %12llu\n",
-              static_cast<unsigned long long>(c.series_appends));
-  std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
-              static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(c.heap_inserts),
-              static_cast<unsigned long long>(c.wheel_cascades));
-  std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
-              static_cast<unsigned long long>(c.lp_barriers),
-              static_cast<unsigned long long>(c.cross_lp_events),
-              static_cast<unsigned long long>(c.mailbox_flushes));
-  std::printf("  lp lookahead         %12.3f ms\n", c.lookahead_ns / 1e6);
+  for (const sim::HotPathCounterField& f : sim::hotpath_counter_fields()) {
+    std::printf("  %-20.*s %12llu\n", static_cast<int>(f.key.size()), f.key.data(),
+                static_cast<unsigned long long>(c.*f.member));
+  }
+  std::printf("  %-20s %11.1f%%\n", "wheel_insert_rate", c.wheel_insert_rate() * 100.0);
 }
 
 /// --profile on a single run: what the run's measurement series hold.

@@ -39,7 +39,7 @@ void write_metric(std::ostream& os, const MetricSnapshot& m) {
   os << "    {\"name\": \"" << stats::json_escape(m.name) << "\", \"kind\": \""
      << metric_kind_name(m.kind) << "\", \"count\": " << m.count
      << ", \"sum\": " << stats::json_number(m.sum);
-  if (m.kind != MetricKind::Counter && m.count > 0) {
+  if (m.count > 0) {
     os << ", \"min\": " << stats::json_number(m.min)
        << ", \"max\": " << stats::json_number(m.max)
        << ", \"mean\": " << stats::json_number(m.mean());
@@ -88,12 +88,13 @@ void write_manifest(std::ostream& os, const RunManifest& m) {
        << "\": " << stats::json_number(m.wall_phases_ms[i].second);
   }
   os << "},\n";
-  const sim::HotPathCounters& h = m.hotpath;
-  os << "  \"hot_path_counters\": {"
-     << "\"exp_calls\": " << h.exp_calls << ", \"pow_calls\": " << h.pow_calls
-     << ", \"rng_draws\": " << h.rng_draws
-     << ", \"observer_dispatches\": " << h.observer_dispatches
-     << ", \"series_appends\": " << h.series_appends << "},\n";
+  os << "  \"hot_path_counters\": {";
+  const char* sep = "";
+  for (const sim::HotPathCounterField& f : sim::hotpath_counter_fields()) {
+    os << sep << "\"" << f.key << "\": " << m.hotpath.*f.member;
+    sep = ", ";
+  }
+  os << "},\n";
   os << "  \"metrics\": [\n";
   const auto metrics = metrics_snapshot();
   for (std::size_t i = 0; i < metrics.size(); ++i) {

@@ -4,8 +4,8 @@
 // A manifest records WHAT ran (tool, scenario grid, mechanism, seeds,
 // event count), ON WHAT (git SHA, compiler, flags, build type — baked
 // in at compile time), HOW LONG (named wall-clock phases) and WHAT CAME
-// OUT (the FNV-1a result digest that the determinism tests key on, the
-// hot-path op counters, and the telemetry metrics snapshot).  The
+// OUT (the FNV-1a result digest that the determinism tests key on,
+// every always-on counter, and the telemetry gauges and histograms).  The
 // digest field is the same value the binary prints, so a manifest can
 // be validated against the run's visible output (tools/
 // check_telemetry.py does exactly that in CI).
@@ -43,7 +43,7 @@ struct RunManifest {
   std::size_t jobs = 1;
   std::uint64_t events = 0;          ///< total simulated events
   std::uint64_t result_digest = 0;   ///< matches the printed digest
-  sim::HotPathCounters hotpath{};
+  sim::HotPathCounters hotpath{};  ///< written as `hot_path_counters`, every field
   /// Named wall-clock phases, in order (e.g. setup / run / report).
   std::vector<std::pair<std::string, double>> wall_phases_ms;
   /// Free-form string facts (e.g. trace file path, repeats).

@@ -11,7 +11,6 @@ namespace corelite::telemetry {
 
 std::string_view metric_kind_name(MetricKind k) {
   switch (k) {
-    case MetricKind::Counter: return "counter";
     case MetricKind::Gauge: return "gauge";
     case MetricKind::Histogram: return "histogram";
   }
@@ -31,36 +30,22 @@ double histogram_bucket_floor(std::size_t i) {
 
 namespace {
 
-/// One metric's accumulation state.  Merging two slots is commutative
-/// except for `last`, which is last-flush-wins (gauges only).
+/// One metric's accumulated state.
 struct Slot {
-  MetricKind kind = MetricKind::Counter;
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   double last = 0.0;
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
-
-  [[nodiscard]] bool empty() const { return count == 0; }
-
-  void merge_into(Slot& g) const {
-    g.kind = kind;
-    g.count += count;
-    g.sum += sum;
-    g.min = std::min(g.min, min);
-    g.max = std::max(g.max, max);
-    g.last = last;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) g.buckets[b] += buckets[b];
-  }
 };
 
 struct Registry {
   std::mutex mu;
-  std::vector<std::string> names;     // index = MetricId
-  std::vector<MetricKind> kinds;      // parallel to names
+  std::vector<std::string> names;  // index = MetricId
+  std::vector<MetricKind> kinds;   // parallel to names
+  std::vector<Slot> slots;         // parallel to names
   std::map<std::string, MetricId, std::less<>> by_name;
-  std::vector<Slot> aggregate;        // parallel to names
 
   static Registry& instance() {
     static Registry r;
@@ -68,46 +53,22 @@ struct Registry {
   }
 };
 
-thread_local std::vector<Slot> t_slots;
-
-/// Size the thread block for `id`, copying the metric's kind into the
-/// new slots.  Rare (first touch per thread per registry growth).
-void grow_thread_block(MetricId id) {
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock{reg.mu};
-  const std::size_t want = std::max<std::size_t>(id + 1, reg.names.size());
-  t_slots.resize(want);
-  for (std::size_t i = 0; i < t_slots.size() && i < reg.kinds.size(); ++i) {
-    t_slots[i].kind = reg.kinds[i];
-  }
-}
-
 }  // namespace
 
 namespace detail {
 
 void record(MetricId id, double v) {
-  if (id >= t_slots.size()) grow_thread_block(id);
-  Slot& s = t_slots[id];
-  switch (s.kind) {
-    case MetricKind::Counter:
-      s.count += static_cast<std::uint64_t>(v);
-      s.sum += v;
-      break;
-    case MetricKind::Gauge:
-      ++s.count;
-      s.sum += v;
-      s.min = std::min(s.min, v);
-      s.max = std::max(s.max, v);
-      s.last = v;
-      break;
-    case MetricKind::Histogram:
-      ++s.count;
-      s.sum += v;
-      s.min = std::min(s.min, v);
-      s.max = std::max(s.max, v);
-      ++s.buckets[histogram_bucket(v)];
-      break;
+  Registry& reg = Registry::instance();
+  const std::lock_guard<std::mutex> lock{reg.mu};
+  Slot& s = reg.slots[id];
+  ++s.count;
+  s.sum += v;
+  s.min = std::min(s.min, v);
+  s.max = std::max(s.max, v);
+  if (reg.kinds[id] == MetricKind::Gauge) {
+    s.last = v;
+  } else {
+    ++s.buckets[histogram_bucket(v)];
   }
 }
 
@@ -124,26 +85,12 @@ MetricId register_metric(std::string_view name, MetricKind kind) {
   const auto id = static_cast<MetricId>(reg.names.size());
   reg.names.emplace_back(name);
   reg.kinds.push_back(kind);
-  reg.aggregate.emplace_back().kind = kind;
+  reg.slots.emplace_back();
   reg.by_name.emplace(reg.names.back(), id);
   return id;
 }
 
-void flush_thread_metrics() {
-  if (t_slots.empty()) return;
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock{reg.mu};
-  if (reg.aggregate.size() < t_slots.size()) reg.aggregate.resize(t_slots.size());
-  for (std::size_t i = 0; i < t_slots.size(); ++i) {
-    if (t_slots[i].empty()) continue;
-    t_slots[i].merge_into(reg.aggregate[i]);
-    t_slots[i] = Slot{};
-    t_slots[i].kind = i < reg.kinds.size() ? reg.kinds[i] : MetricKind::Counter;
-  }
-}
-
 std::vector<MetricSnapshot> metrics_snapshot() {
-  flush_thread_metrics();
   Registry& reg = Registry::instance();
   const std::lock_guard<std::mutex> lock{reg.mu};
   std::vector<MetricSnapshot> out;
@@ -152,8 +99,7 @@ std::vector<MetricSnapshot> metrics_snapshot() {
     MetricSnapshot m;
     m.name = reg.names[i];
     m.kind = reg.kinds[i];
-    if (i < reg.aggregate.size() && !reg.aggregate[i].empty()) {
-      const Slot& s = reg.aggregate[i];
+    if (const Slot& s = reg.slots[i]; s.count > 0) {
       m.count = s.count;
       m.sum = s.sum;
       m.min = s.min;
@@ -171,14 +117,7 @@ std::vector<MetricSnapshot> metrics_snapshot() {
 void reset_metrics() {
   Registry& reg = Registry::instance();
   const std::lock_guard<std::mutex> lock{reg.mu};
-  for (std::size_t i = 0; i < reg.aggregate.size(); ++i) {
-    reg.aggregate[i] = Slot{};
-    reg.aggregate[i].kind = reg.kinds[i];
-  }
-  for (std::size_t i = 0; i < t_slots.size(); ++i) {
-    t_slots[i] = Slot{};
-    if (i < reg.kinds.size()) t_slots[i].kind = reg.kinds[i];
-  }
+  for (Slot& s : reg.slots) s = Slot{};
 }
 
 }  // namespace corelite::telemetry

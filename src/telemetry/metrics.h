@@ -1,20 +1,21 @@
-// Process-wide metrics registry: named counters, gauges and
-// log-bucketed histograms.
+// Process-wide metrics registry: named gauges and log-bucketed
+// histograms.
+//
+// Counts do not live here: every counter is a field of the always-on
+// sim::HotPathCounters block.  The registry holds the sampled values of
+// the opt-in, serial-only instruments — the fairness auditor's
+// per-window gauges and the trace collector's queue histograms.
 //
 // Components register a metric once (by name, under a mutex) and keep
-// the returned handle; bumping a handle on the hot path is a couple of
-// thread-local array writes — no allocation, no lock, no string lookup.
-// Telemetry is OFF by default: a disabled handle bump is a single
-// relaxed atomic load and a predicted branch, so instrumented code can
-// stay compiled into release builds (the same contract as
-// sim::HotPathCounters).
-//
-// Threading mirrors the hot-path counters: every thread accumulates
-// into its own block and publishes it with flush_thread_metrics() — the
-// sweep runner does this after each run, so sweep-wide aggregates are
-// complete at any --jobs level.  Aggregation is commutative (sums,
-// min/max, bucket adds), so the merged totals are independent of worker
-// scheduling; only a gauge's `last` value depends on flush order.
+// the returned handle.  Telemetry is OFF by default: a disabled handle
+// bump is a single relaxed atomic load and a predicted branch, so
+// instrumented code can stay compiled into release builds.  An enabled
+// bump folds the value straight into the process aggregate under the
+// registry mutex: the instruments that record run on one thread per
+// run (never on LP workers), so the lock is uncontended, and there is
+// no per-thread block to flush — a sweep worker's values are visible as
+// soon as they are recorded.  Aggregation is commutative (sums,
+// min/max, bucket adds) except a gauge's `last` value.
 #pragma once
 
 #include <array>
@@ -27,7 +28,7 @@
 
 namespace corelite::telemetry {
 
-enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
+enum class MetricKind : std::uint8_t { Gauge, Histogram };
 
 [[nodiscard]] std::string_view metric_kind_name(MetricKind k);
 
@@ -40,8 +41,7 @@ inline constexpr std::size_t kHistogramBuckets = 65;
 
 namespace detail {
 inline std::atomic<bool> g_enabled{false};
-/// Out-of-line slow path: classify by kind and fold `v` into the
-/// calling thread's slot for `id` (growing the block on first touch).
+/// Out-of-line slow path: fold `v` into the aggregate for `id`.
 void record(MetricId id, double v);
 }  // namespace detail
 
@@ -52,15 +52,15 @@ void set_enabled(bool on);
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Merged view of one metric across every flushed thread block.
+/// Aggregated view of one metric.
 struct MetricSnapshot {
   std::string name;
-  MetricKind kind = MetricKind::Counter;
-  std::uint64_t count = 0;  ///< counter: total; gauge/histogram: samples
+  MetricKind kind = MetricKind::Gauge;
+  std::uint64_t count = 0;  ///< samples recorded
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  double last = 0.0;  ///< gauges only; last flushed value
+  double last = 0.0;  ///< gauges only; last recorded value
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
 
   [[nodiscard]] double mean() const {
@@ -72,19 +72,12 @@ struct MetricSnapshot {
 /// existing name with a different kind returns kInvalidMetric.
 [[nodiscard]] MetricId register_metric(std::string_view name, MetricKind kind);
 
-/// Publish the calling thread's block into the process aggregate and
-/// zero it.  Called by the sweep runner after every run; cheap when the
-/// thread recorded nothing.
-void flush_thread_metrics();
-
-/// Process aggregate (every flushed block) plus the calling thread's
-/// unflushed block, sorted by metric name.  Metrics that were never
-/// bumped still appear with count 0.
+/// Every registered metric, sorted by name.  Metrics that were never
+/// recorded still appear with count 0.
 [[nodiscard]] std::vector<MetricSnapshot> metrics_snapshot();
 
-/// Zero the aggregate and the calling thread's block (registrations —
-/// names and ids — survive).  Tests and benchmarks call this between
-/// measured sections; other threads' unflushed blocks are untouched.
+/// Zero every metric (registrations — names and ids — survive).  Tests
+/// and benchmarks call this between measured sections.
 void reset_metrics();
 
 /// Histogram bucket index for a value (see kHistogramBuckets).
@@ -96,20 +89,6 @@ void reset_metrics();
 // --------------------------------------------------------------------------
 // Cached handles.  Construct once (registry lookup under a mutex), bump
 // freely: a disabled bump is one relaxed load + branch.
-
-class Counter {
- public:
-  Counter() = default;
-  explicit Counter(std::string_view name)
-      : id_{register_metric(name, MetricKind::Counter)} {}
-  void add(std::uint64_t n = 1) const {
-    if (enabled() && id_ != kInvalidMetric) detail::record(id_, static_cast<double>(n));
-  }
-  [[nodiscard]] MetricId id() const { return id_; }
-
- private:
-  MetricId id_ = kInvalidMetric;
-};
 
 class Gauge {
  public:

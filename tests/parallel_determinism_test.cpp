@@ -230,6 +230,29 @@ TEST(ParallelDeterminism, LpCountersAdvanceInPartitionedRuns) {
   const auto s = corelite::sim::aggregated_hotpath_counters();
   EXPECT_EQ(s.lp_barriers, 0u);
   EXPECT_EQ(s.cross_lp_events, 0u);
+
+  // The whole block is thread-count invariant: every LP worker flushes
+  // what it counted before it exits, drops and relabels included.
+  const auto counters_at = [](std::size_t lp_threads) {
+    rn::RunDescriptor d;
+    d.scenario = "gen-pl4-200";
+    d.mechanism = sc::Mechanism::Csfq;
+    d.seed = 42;
+    d.duration_sec = 20.0;
+    d.lp = 4;
+    d.lp_threads = lp_threads;
+    corelite::sim::reset_hotpath_counters();
+    EXPECT_TRUE(rn::execute_run(d).ok);
+    return corelite::sim::aggregated_hotpath_counters();
+  };
+  const auto one = counters_at(1);
+  const auto four = counters_at(4);
+  for (const corelite::sim::HotPathCounterField& f : corelite::sim::hotpath_counter_fields()) {
+    EXPECT_EQ(one.*f.member, four.*f.member) << f.key;
+  }
+  EXPECT_GT(one.drops_admission + one.drops_queue_full, 0u);
+  EXPECT_GT(one.csfq_relabels, 0u);
+  EXPECT_GT(one.lp_barriers, 0u);
 }
 
 TEST(ParallelDeterminism, DigestInvariantUnderWheelElision) {

@@ -69,19 +69,32 @@ TEST(Manifest, DocumentCarriesEveryRequiredKey) {
 TEST(Manifest, MetricsSectionReflectsTheLiveSnapshot) {
   set_enabled(true);
   reset_metrics();
-  const Counter c{"manifest.test.counter"};
+  const Gauge g{"manifest.test.gauge"};
   const Histogram h{"manifest.test.hist"};
-  c.add(3);
+  g.set(3.0);
   h.observe(5.0);  // bucket [4, 8)
 
+  RunManifest m;
+  m.hotpath.csfq_relabels = 42;
   std::ostringstream os;
-  write_manifest(os, RunManifest{});
+  write_manifest(os, m);
   const std::string out = os.str();
-  EXPECT_NE(out.find("{\"name\": \"manifest.test.counter\", \"kind\": \"counter\", "
-                     "\"count\": 3, \"sum\": 3}"),
+  EXPECT_NE(out.find("{\"name\": \"manifest.test.gauge\", \"kind\": \"gauge\", "
+                     "\"count\": 1, \"sum\": 3, \"min\": 3, \"max\": 3, \"mean\": 3, "
+                     "\"last\": 3}"),
             std::string::npos);
   // Histograms render sparse [bucket_floor, count] pairs.
   EXPECT_NE(out.find("\"buckets\": [[4, 1]]"), std::string::npos);
+  // Every counter of the block is written under its table key, once;
+  // none of them is a registry metric.
+  for (const sim::HotPathCounterField& f : sim::hotpath_counter_fields()) {
+    const std::string key = "\"" + std::string{f.key} + "\": ";
+    const auto at = out.find(key);
+    EXPECT_NE(at, std::string::npos) << f.key;
+    EXPECT_EQ(out.find(key, at + 1), std::string::npos) << f.key;
+  }
+  EXPECT_NE(out.find("\"csfq_relabels\": 42"), std::string::npos);
+  EXPECT_EQ(out.find("\"kind\": \"counter\""), std::string::npos);
 
   reset_metrics();
   set_enabled(false);

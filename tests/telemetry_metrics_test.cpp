@@ -1,13 +1,17 @@
 // Metrics-registry tests: registration semantics, the off-by-default
-// guarantee, counter/gauge/histogram accumulation, log-bucket math, and
-// cross-thread flush + merge.
+// guarantee, gauge/histogram accumulation, log-bucket math and
+// cross-thread merging; plus the always-on counter block that holds
+// every count (sim::HotPathCounters).
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sim/hotpath.h"
+#include "telemetry/manifest.h"
 #include "telemetry/metrics.h"
 
 namespace corelite::telemetry {
@@ -35,36 +39,46 @@ class MetricsTest : public ::testing::Test {
 };
 
 TEST_F(MetricsTest, RegistrationIsIdempotentByName) {
-  const MetricId a = register_metric("test.reg.counter", MetricKind::Counter);
-  const MetricId b = register_metric("test.reg.counter", MetricKind::Counter);
+  const MetricId a = register_metric("test.reg.gauge", MetricKind::Gauge);
+  const MetricId b = register_metric("test.reg.gauge", MetricKind::Gauge);
   ASSERT_NE(a, kInvalidMetric);
   EXPECT_EQ(a, b);
   // Same name, different kind: rejected rather than silently aliased.
-  EXPECT_EQ(register_metric("test.reg.counter", MetricKind::Gauge), kInvalidMetric);
+  EXPECT_EQ(register_metric("test.reg.gauge", MetricKind::Histogram), kInvalidMetric);
 }
 
 TEST_F(MetricsTest, DisabledBumpRecordsNothing) {
-  const Counter c{"test.off.counter"};
+  const Gauge g{"test.off.gauge"};
   set_enabled(false);
-  c.add(100);
+  g.set(100.0);
   set_enabled(true);
-  const auto snap = find("test.off.counter");
+  const auto snap = find("test.off.gauge");
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->count, 0u);
   // A default-constructed (unregistered) handle is a safe no-op too.
-  const Counter unbound;
-  unbound.add();
+  const Gauge unbound;
+  unbound.set(1.0);
   EXPECT_EQ(unbound.id(), kInvalidMetric);
 }
 
 TEST_F(MetricsTest, CounterAccumulates) {
-  const Counter c{"test.counter"};
-  c.add();
-  c.add(9);
-  const auto snap = find("test.counter");
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->kind, MetricKind::Counter);
-  EXPECT_EQ(snap->count, 10u);
+  // Counts live in the always-on block, not the registry: they advance
+  // with telemetry off, and the registry never lists them.
+  set_enabled(false);
+  sim::reset_hotpath_counters();
+  ++sim::hotpath_counters().drops_queue_full;
+  sim::hotpath_counters().drops_queue_full += 9;
+  sim::flush_hotpath_counters();
+  ++sim::hotpath_counters().drops_queue_full;  // the unflushed block counts too
+  RunManifest manifest;
+  manifest.hotpath = sim::aggregated_hotpath_counters();
+  EXPECT_EQ(manifest.hotpath.drops_queue_full, 11u);
+  std::ostringstream os;
+  write_manifest(os, manifest);
+  EXPECT_NE(os.str().find("\"drops_queue_full\": 11"), std::string::npos);
+  set_enabled(true);
+  for (const auto& m : metrics_snapshot()) EXPECT_NE(m.name, "net.drops.queue_full");
+  sim::reset_hotpath_counters();
 }
 
 TEST_F(MetricsTest, GaugeTracksMinMaxLastAndMean) {
@@ -115,41 +129,39 @@ TEST_F(MetricsTest, HistogramObservationsLandInBuckets) {
 }
 
 TEST_F(MetricsTest, ThreadBlocksMergeOnFlush) {
-  const Counter c{"test.threads.counter"};
+  // Sweep workers record on their own threads; every observation lands
+  // in the one aggregate with no per-thread flush.
   const Histogram h{"test.threads.hist"};
-  c.add(5);  // main thread's unflushed block counts too
+  h.observe(5.0);  // the main thread's observation counts too
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&c, &h] {
-      for (int i = 0; i < 100; ++i) c.add();
-      h.observe(2.0);
-      flush_thread_metrics();  // the sweep runner does this per run
+    workers.emplace_back([&h] {
+      for (int i = 0; i < 100; ++i) h.observe(2.0);
     });
   }
   for (auto& w : workers) w.join();
-  const auto counter = find("test.threads.counter");
   const auto hist = find("test.threads.hist");
-  ASSERT_TRUE(counter.has_value());
   ASSERT_TRUE(hist.has_value());
-  EXPECT_EQ(counter->count, 405u);
-  EXPECT_EQ(hist->count, 4u);
-  EXPECT_EQ(hist->buckets[2], 4u);
+  EXPECT_EQ(hist->count, 401u);
+  EXPECT_EQ(hist->buckets[2], 400u);
+  EXPECT_EQ(hist->buckets[3], 1u);
+  EXPECT_DOUBLE_EQ(hist->sum, 805.0);
 }
 
 TEST_F(MetricsTest, ResetZeroesValuesButKeepsRegistrations) {
-  const Counter c{"test.reset.counter"};
-  c.add(3);
+  const Gauge g{"test.reset.gauge"};
+  g.set(3.0);
   reset_metrics();
-  const auto snap = find("test.reset.counter");
+  const auto snap = find("test.reset.gauge");
   ASSERT_TRUE(snap.has_value());  // the name survives
   EXPECT_EQ(snap->count, 0u);
-  c.add();  // the old handle still works
-  EXPECT_EQ(find("test.reset.counter")->count, 1u);
+  g.set(1.0);  // the old handle still works
+  EXPECT_EQ(find("test.reset.gauge")->count, 1u);
 }
 
 TEST_F(MetricsTest, SnapshotIsSortedByName) {
-  (void)register_metric("test.zz", MetricKind::Counter);
-  (void)register_metric("test.aa", MetricKind::Counter);
+  (void)register_metric("test.zz", MetricKind::Gauge);
+  (void)register_metric("test.aa", MetricKind::Histogram);
   const auto snaps = metrics_snapshot();
   for (std::size_t i = 1; i < snaps.size(); ++i) {
     EXPECT_LT(snaps[i - 1].name, snaps[i].name);

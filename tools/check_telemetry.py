@@ -62,6 +62,16 @@ HOTPATH_REQUIRED = (
     "rng_draws",
     "observer_dispatches",
     "series_appends",
+    "drops_admission",
+    "drops_control_loss",
+    "drops_queue_full",
+    "drops_queue_internal",
+    "markers_seen",
+    "feedback_sent",
+    "csfq_relabels",
+    "audit_windows",
+    "audit_violations",
+    "audit_watchdog_fired",
 )
 
 VIRTUAL_PID = 1

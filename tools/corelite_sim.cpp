@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -146,31 +147,84 @@ struct AuditArgs {
   }
 };
 
-bool write_audit_file(const tel::AuditDocument& doc, const std::string& path) {
-  std::ofstream os{path};
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  tel::write_audit_json(os, doc);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return true;
-}
+/// The trace and engine probes a run's outputs are read from.
+struct Instruments {
+  tel::TraceWriter trace;
+  std::unique_ptr<tel::LinkTraceCollector> collector;
+  tel::LpProfiler lp_profiler;
+  tel::FluidFlightRecorder flight;
+};
 
-/// Fold the audit outcome into the trace (if any) and the manifest.
-void render_audit_outcome(const tel::FairnessAuditReport* fairness,
-                          const tel::LpProfiler& lp_profiler,
-                          const tel::FluidFlightRecorder& flight, tel::TraceWriter* trace,
-                          tel::RunManifest& manifest) {
-  if (trace != nullptr) {
-    if (fairness != nullptr) tel::render_audit_trace(*trace, *fairness);
-    if (lp_profiler.report().runs > 0) tel::render_lp_trace(*trace, lp_profiler.report());
-    if (!flight.events().empty()) tel::render_fluid_cert_trace(*trace, flight);
+/// What a finished single run or sweep reports.  The caller sets the
+/// run-identifying fields of `doc` (and `doc.fluid_stats` for a fluid
+/// run) and of `manifest`, including its result digest.
+struct RunOutputs {
+  tel::AuditDocument doc;
+  tel::RunManifest manifest;
+  std::size_t lp = 1;
+  std::function<void(tel::TraceWriter&)> add_wall_spans;
+};
+
+/// The outputs both modes share: the audit document and watchdog line
+/// (--audit), then the digest line, the trace and the manifest
+/// (--telemetry).  Returns the process exit code.
+int write_run_outputs(RunOutputs out, const TelemetryArgs& tele, const AuditArgs& audit,
+                      Instruments& in, tel::PhaseTimer& phases) {
+  tel::AuditDocument& doc = out.doc;
+  const tel::FairnessAuditReport* fairness = doc.fairness;
+  if (in.lp_profiler.report().runs > 0) doc.engine = &in.lp_profiler.report();
+  if (!in.flight.events().empty()) doc.fluid_cert = &in.flight;
+  if (audit.on) {
+    std::ofstream os{audit.out_path};
+    if (!os) {
+      std::fprintf(stderr, "cannot write %s\n", audit.out_path.c_str());
+      return 1;
+    }
+    tel::write_audit_json(os, doc);
+    std::fprintf(stderr, "wrote %s\n", audit.out_path.c_str());
+    if (fairness != nullptr && fairness->watchdog_fired) {
+      std::fprintf(stderr,
+                   "fairness watchdog FIRED at %.1f s (window %llu) — see %s\n",
+                   fairness->watchdog_t_sec,
+                   static_cast<unsigned long long>(fairness->watchdog_window),
+                   audit.out_path.c_str());
+    }
+  }
+  if (!tele.on) return 0;
+
+  tel::RunManifest& manifest = out.manifest;
+  std::printf("result digest: %s\n", tel::digest_hex(manifest.result_digest).c_str());
+  phases.stop();
+  manifest.tool = "corelite_sim";
+  manifest.hotpath = corelite::sim::aggregated_hotpath_counters();
+  manifest.wall_phases_ms = phases.phases();
+  auto& extra = manifest.extra;
+  extra.emplace_back("hw_threads",
+                     std::to_string(corelite::sim::par::ThreadBudget::hardware_threads()));
+  if (out.lp > 1) extra.emplace_back("lp", std::to_string(out.lp));
+  if (doc.fluid_stats != nullptr) {
+    extra.emplace_back("fluid", "1");
+    extra.emplace_back("fluid_ff_sec", std::to_string(doc.fluid_stats->fast_forwarded_sec));
+    extra.emplace_back("fluid_jumps", std::to_string(doc.fluid_stats->jumps));
+  }
+  const bool tracing = !tele.trace_path.empty();
+  if (tracing) {
+    extra.emplace_back("trace", tele.trace_path);
+    if (fairness != nullptr) tel::render_audit_trace(in.trace, *fairness);
+    if (doc.engine != nullptr) tel::render_lp_trace(in.trace, *doc.engine);
+    if (doc.fluid_cert != nullptr) tel::render_fluid_cert_trace(in.trace, in.flight);
   }
   if (fairness != nullptr) {
-    manifest.extra.emplace_back("audit_windows", std::to_string(fairness->windows.size()));
-    manifest.extra.emplace_back("audit_watchdog", fairness->watchdog_fired ? "1" : "0");
+    extra.emplace_back("audit_windows", std::to_string(fairness->windows.size()));
+    extra.emplace_back("audit_watchdog", fairness->watchdog_fired ? "1" : "0");
   }
+  if (audit.on) extra.emplace_back("audit", audit.out_path);
+  if (tracing) {
+    out.add_wall_spans(in.trace);
+    if (!tel::write_trace_file(in.trace, tele.trace_path, std::cerr)) return 1;
+  }
+  if (!tel::write_manifest_file(manifest, tele.manifest_path, std::cerr)) return 1;
+  return 0;
 }
 
 // Sweep mode: seed × scenario × mechanism grid on a worker pool.
@@ -224,28 +278,24 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
   if (audit.invalid) return 2;
   tel::PhaseTimer phases;
   phases.start("setup");
-  tel::TraceWriter trace;
-  std::unique_ptr<tel::LinkTraceCollector> collector;
-  tel::LpProfiler lp_profiler;
-  tel::FluidFlightRecorder flight;
+  Instruments in;
 
   rn::SweepRunner sweep_runner{jobs};
   if (!tele.trace_path.empty()) {
     // Virtual-time tracks come from run 0 only: one representative
     // universe, no observer cost on the rest of the grid.
-    sweep_runner.set_run_instrument(0, tel::congested_link_instrument(trace, collector));
+    sweep_runner.set_run_instrument(0, tel::congested_link_instrument(in.trace, in.collector));
   }
   if (audit.on || !audit.flood_pps.empty() || tele.on) {
     // The audit (and the engine probes) ride run 0 only: the rest of
     // the grid keeps its digest-clean event stream, so the combined
     // digest stays --jobs-invariant even with the auditor on.
-    sweep_runner.set_run_spec_hook(0, [&audit, &lp_profiler, &flight, &tele](
-                                          sc::ScenarioSpec& spec) {
+    sweep_runner.set_run_spec_hook(0, [&audit, &in, &tele](sc::ScenarioSpec& spec) {
       if (audit.on) spec.audit = audit.cfg;
       if (!audit.flood_pps.empty()) spec.flood_pps = audit.flood_pps;
       if (tele.on) {
-        spec.lp_probe = &lp_profiler;
-        spec.fluid_probe = &flight;
+        spec.lp_probe = &in.lp_profiler;
+        spec.fluid_probe = &in.flight;
       }
     });
   }
@@ -323,55 +373,23 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
   }
   if (parser.get_flag("profile")) tel::print_hotpath_profile("process totals");
 
-  const tel::FairnessAuditReport* fairness =
-      !results.empty() && results[0].audit ? results[0].audit.get() : nullptr;
-  if (audit.on) {
-    tel::AuditDocument doc;
-    doc.scenario = join_list(grid.scenarios);
-    doc.mechanism = join_list(mech_names);
-    doc.seed = results.empty() ? grid.base_seed : results[0].desc.seed;
-    doc.fairness = fairness;
-    if (lp_profiler.report().runs > 0) doc.engine = &lp_profiler.report();
-    if (!flight.events().empty()) doc.fluid_cert = &flight;
-    if (!write_audit_file(doc, audit.out_path)) return 1;
-    if (fairness != nullptr && fairness->watchdog_fired) {
-      std::fprintf(stderr,
-                   "fairness watchdog FIRED at %.1f s (window %llu) — see %s\n",
-                   fairness->watchdog_t_sec,
-                   static_cast<unsigned long long>(fairness->watchdog_window),
-                   audit.out_path.c_str());
-    }
-  }
-
-  if (tele.on) {
-    const std::uint64_t digest = rn::combined_digest(results);
-    std::printf("result digest: %s\n", tel::digest_hex(digest).c_str());
-    phases.stop();
-    tel::RunManifest manifest;
-    manifest.tool = "corelite_sim";
-    manifest.scenario = join_list(grid.scenarios);
-    manifest.mechanism = join_list(mech_names);
-    manifest.base_seed = grid.base_seed;
-    manifest.runs = results.size();
-    manifest.jobs = jobs;
-    for (const auto& r : results) manifest.events += r.events;
-    manifest.result_digest = digest;
-    manifest.hotpath = corelite::sim::aggregated_hotpath_counters();
-    manifest.wall_phases_ms = phases.phases();
-    manifest.extra.emplace_back(
-        "hw_threads", std::to_string(corelite::sim::par::ThreadBudget::hardware_threads()));
-    if (grid.lp > 1) manifest.extra.emplace_back("lp", std::to_string(grid.lp));
-    if (!tele.trace_path.empty()) manifest.extra.emplace_back("trace", tele.trace_path);
-    render_audit_outcome(fairness, lp_profiler, flight,
-                         tele.trace_path.empty() ? nullptr : &trace, manifest);
-    if (audit.on) manifest.extra.emplace_back("audit", audit.out_path);
-    if (!tele.trace_path.empty()) {
-      tel::add_wall_spans(trace, results);
-      if (!tel::write_trace_file(trace, tele.trace_path, std::cerr)) return 1;
-    }
-    if (!tel::write_manifest_file(manifest, tele.manifest_path, std::cerr)) return 1;
-  }
-  return 0;
+  RunOutputs out;
+  out.doc.scenario = join_list(grid.scenarios);
+  out.doc.mechanism = join_list(mech_names);
+  out.doc.seed = results.empty() ? grid.base_seed : results[0].desc.seed;
+  out.doc.fairness = !results.empty() && results[0].audit ? results[0].audit.get() : nullptr;
+  out.manifest.scenario = out.doc.scenario;
+  out.manifest.mechanism = out.doc.mechanism;
+  out.manifest.base_seed = grid.base_seed;
+  out.manifest.runs = results.size();
+  out.manifest.jobs = jobs;
+  for (const auto& r : results) out.manifest.events += r.events;
+  out.manifest.result_digest = rn::combined_digest(results);
+  out.lp = grid.lp;
+  out.add_wall_spans = [&results](tel::TraceWriter& trace) {
+    tel::add_wall_spans(trace, results);
+  };
+  return write_run_outputs(std::move(out), tele, audit, in, phases);
 }
 
 }  // namespace
@@ -395,7 +413,7 @@ int main(int argc, char** argv) {
                     "comma-separated mechanism list for the sweep grid (default: --mechanism)");
   parser.add_string("sweep-csv", "", "write per-cell sweep statistics CSV to this path");
   parser.add_flag("profile",
-                  "print the always-on hot-path op counters (and, for one run, the "
+                  "print every always-on counter (and, for one run, the "
                   "series footprint) after the run");
   register_telemetry_options(parser);
 
@@ -413,18 +431,15 @@ int main(int argc, char** argv) {
   if (audit.invalid) return 2;
   tel::PhaseTimer phases;
   phases.start("setup");
-  tel::TraceWriter trace;
-  std::unique_ptr<tel::LinkTraceCollector> collector;
-  tel::LpProfiler lp_profiler;
-  tel::FluidFlightRecorder flight;
+  Instruments in;
   if (!tele.trace_path.empty()) {
-    spec->instrument = tel::congested_link_instrument(trace, collector);
+    spec->instrument = tel::congested_link_instrument(in.trace, in.collector);
   }
   if (audit.on) spec->audit = audit.cfg;
   if (!audit.flood_pps.empty()) spec->flood_pps = audit.flood_pps;
   if (tele.on) {
-    spec->lp_probe = &lp_profiler;
-    spec->fluid_probe = &flight;
+    spec->lp_probe = &in.lp_profiler;
+    spec->fluid_probe = &in.flight;
   }
 
   std::fprintf(stderr, "running %s / %s for %.0f s (seed %llu)...\n",
@@ -523,65 +538,26 @@ int main(int argc, char** argv) {
     tel::print_series_footprint(result.tracker);
   }
 
-  if (audit.on) {
-    tel::AuditDocument doc;
-    doc.scenario = scenario_name;
-    doc.mechanism = sc::mechanism_name(spec->mechanism);
-    doc.seed = spec->seed;
-    doc.fairness = result.audit_report.get();
-    if (lp_profiler.report().runs > 0) doc.engine = &lp_profiler.report();
-    if (!flight.events().empty()) doc.fluid_cert = &flight;
-    if (result.fluid_stats.enabled) doc.fluid_stats = &result.fluid_stats;
-    if (!write_audit_file(doc, audit.out_path)) return 1;
-    if (result.audit_report != nullptr && result.audit_report->watchdog_fired) {
-      std::fprintf(stderr,
-                   "fairness watchdog FIRED at %.1f s (window %llu) — see %s\n",
-                   result.audit_report->watchdog_t_sec,
-                   static_cast<unsigned long long>(result.audit_report->watchdog_window),
-                   audit.out_path.c_str());
-    }
-  }
-
-  if (tele.on) {
-    const std::uint64_t digest = rn::result_digest(result);
-    std::printf("result digest: %s\n", tel::digest_hex(digest).c_str());
-    phases.stop();
-    tel::RunManifest manifest;
-    manifest.tool = "corelite_sim";
-    manifest.scenario = scenario_name;
-    manifest.mechanism = sc::mechanism_name(spec->mechanism);
-    manifest.base_seed = spec->seed;
-    manifest.runs = 1;
-    manifest.jobs = 1;
-    manifest.events = result.events_processed;
-    manifest.result_digest = digest;
-    manifest.hotpath = corelite::sim::aggregated_hotpath_counters();
-    manifest.wall_phases_ms = phases.phases();
-    manifest.extra.emplace_back(
-        "hw_threads", std::to_string(corelite::sim::par::ThreadBudget::hardware_threads()));
-    if (spec->lp > 1) manifest.extra.emplace_back("lp", std::to_string(spec->lp));
-    if (result.fluid_stats.enabled) {
-      manifest.extra.emplace_back("fluid", "1");
-      manifest.extra.emplace_back("fluid_ff_sec",
-                                  std::to_string(result.fluid_stats.fast_forwarded_sec));
-      manifest.extra.emplace_back("fluid_jumps", std::to_string(result.fluid_stats.jumps));
-    }
-    if (!tele.trace_path.empty()) manifest.extra.emplace_back("trace", tele.trace_path);
-    render_audit_outcome(result.audit_report.get(), lp_profiler, flight,
-                         tele.trace_path.empty() ? nullptr : &trace, manifest);
-    if (audit.on) manifest.extra.emplace_back("audit", audit.out_path);
-    if (!tele.trace_path.empty()) {
-      // One wall-clock span for the single run, so a single-run trace
-      // also carries both clock domains.
-      trace.set_process_name(tel::TraceWriter::kWallPid, "wall-clock (us since start)");
-      trace.set_thread_name(tel::TraceWriter::kWallPid, 0, "main");
-      trace.add_complete(tel::TraceWriter::kWallPid, 0,
-                         scenario_name + "/" + sc::mechanism_name(spec->mechanism),
-                         "run", 0.0, run_ms * 1000.0, "events",
-                         static_cast<double>(result.events_processed));
-      if (!tel::write_trace_file(trace, tele.trace_path, std::cerr)) return 1;
-    }
-    if (!tel::write_manifest_file(manifest, tele.manifest_path, std::cerr)) return 1;
-  }
-  return 0;
+  RunOutputs out;
+  out.doc.scenario = scenario_name;
+  out.doc.mechanism = sc::mechanism_name(spec->mechanism);
+  out.doc.seed = spec->seed;
+  out.doc.fairness = result.audit_report.get();
+  if (result.fluid_stats.enabled) out.doc.fluid_stats = &result.fluid_stats;
+  out.manifest.scenario = out.doc.scenario;
+  out.manifest.mechanism = out.doc.mechanism;
+  out.manifest.base_seed = spec->seed;
+  out.manifest.events = result.events_processed;
+  out.manifest.result_digest = rn::result_digest(result);
+  out.lp = spec->lp;
+  out.add_wall_spans = [&](tel::TraceWriter& trace) {
+    // One wall-clock span for the single run, so a single-run trace
+    // also carries both clock domains.
+    trace.set_process_name(tel::TraceWriter::kWallPid, "wall-clock (us since start)");
+    trace.set_thread_name(tel::TraceWriter::kWallPid, 0, "main");
+    trace.add_complete(tel::TraceWriter::kWallPid, 0,
+                       scenario_name + "/" + sc::mechanism_name(spec->mechanism), "run", 0.0,
+                       run_ms * 1000.0, "events", static_cast<double>(result.events_processed));
+  };
+  return write_run_outputs(std::move(out), tele, audit, in, phases);
 }
