@@ -1,17 +1,18 @@
 // Event-engine microbenchmark: events/sec and heap allocations/event.
 //
 // The paper's experiments are million-event runs; the engine exists to
-// make those cheap.  This bench measures the three layers that matter:
+// make those cheap.  This bench measures the layers that matter:
 //   1. raw schedule/fire throughput of detached events with realistic
 //      (24-byte) captures — the forwarding plane's bread and butter,
 //   2. the same loop through handle-keeping schedule(), isolating the
 //      cost of the cancellation control block,
-//   3. steady-state packet forwarding on a live link, asserting the
-//      zero-allocations-per-hop property end to end,
-//   4. short-horizon and cold-record dispatch, each with the wheel on
+//   3. short-horizon and cold-record dispatch, each with the wheel on
 //      and off (CORELITE_NO_WHEEL).
 // Whole-scenario wall times live in bench/e2e (the paper-matrix
-// workload runs the fig3/5/7/9 rows under every mechanism).
+// workload runs the fig3/5/7/9 rows under every mechanism).  The
+// correctness claims are ctests: zero allocations per forwarded hop
+// (net_forwarding_alloc_test) and wheel-on/heap-only firing order on
+// cold records (timer_wheel_test).
 //
 // Results go to stdout and, machine-readable, to
 // BENCH_event_engine.json in the working directory.  Every number is a
@@ -21,12 +22,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <thread>
 #include <vector>
 
-#include "net/network.h"
 #include "sim/hotpath.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -69,7 +68,6 @@ void operator delete[](void* p, std::size_t) noexcept {
 namespace {
 
 namespace sim = corelite::sim;
-namespace net = corelite::net;
 
 double now_seconds() {
   using clock = std::chrono::steady_clock;
@@ -263,14 +261,12 @@ struct ColdRecordsResult {
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
   double ns_per_event = 0.0;
-  std::uint64_t order_checksum = 0;  ///< over (chain, fire time), firing order
 };
 
 struct ColdChains {
   sim::Simulator& s;
   std::vector<ColdRecord> records;
   std::uint64_t fired = 0;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
 
   void arm(std::uint32_t chain, sim::TimeDelta delay) {
     s.after_detached(delay, sim::hinted(&records[chain], [this, chain] { fire(chain); }));
@@ -281,11 +277,6 @@ struct ColdChains {
     ++r.fires;
     r.state = r.state * 0.5 + r.period;
     ++fired;
-    const double t = s.now().sec();
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &t, sizeof bits);
-    checksum = (checksum ^ chain) * 0x100000001b3ULL;
-    checksum = (checksum ^ bits) * 0x100000001b3ULL;
     arm(chain, sim::TimeDelta::seconds(r.period));
   }
 };
@@ -305,7 +296,6 @@ ColdRecordsResult run_cold_records(bool wheel_on) {
   }
   s.run_until(sim::SimTime::seconds(kColdWarmupSec));
   chains.fired = 0;
-  chains.checksum = 0xcbf29ce484222325ULL;
 
   const double t0 = now_seconds();
   s.run_until(sim::SimTime::seconds(kColdWarmupSec + kColdMeasureSec));
@@ -316,69 +306,6 @@ ColdRecordsResult run_cold_records(bool wheel_on) {
   r.events = chains.fired;
   r.events_per_sec = static_cast<double>(chains.fired) / wall;
   r.ns_per_event = wall * 1e9 / static_cast<double>(chains.fired);
-  r.order_checksum = chains.checksum;
-  return r;
-}
-
-struct ForwardingResult {
-  std::uint64_t hops = 0;
-  std::uint64_t allocs = 0;
-  double allocs_per_hop = 0.0;
-  double hops_per_sec = 0.0;
-};
-
-// Saturate one 10 Mb/s link with 1 KB packets for 11 simulated seconds;
-// after a 1 s warmup (pool slots, ring buffers and heap storage all
-// materialized), the steady-state forwarding path must not touch the
-// heap at all.
-ForwardingResult run_forwarding_loop() {
-  sim::Simulator s;
-  net::Network network{s};
-  const net::NodeId a = network.add_node("a");
-  const net::NodeId b = network.add_node("b");
-  const sim::DataSize pkt = sim::DataSize::bytes(1000);
-  const sim::Rate rate = sim::Rate::mbps(10);
-  network.connect(a, b, rate, sim::TimeDelta::millis(1), 64);
-  network.build_routes();
-
-  std::uint64_t delivered = 0;
-  network.node(b).set_local_sink([&delivered](net::Packet&&) { ++delivered; });
-
-  // Inject at 99% of line rate so the queue stays shallow and bounded.
-  const double dt = rate.serialization_time(pkt).sec() / 0.99;
-  struct Pump {
-    sim::Simulator& s;
-    net::Network& network;
-    net::NodeId a, b;
-    sim::DataSize pkt;
-    double dt;
-    void fire() {
-      net::Packet p;
-      p.uid = network.next_packet_uid();
-      p.flow = 1;
-      p.src = a;
-      p.dst = b;
-      p.size = pkt;
-      p.created = s.now();
-      network.inject(a, std::move(p));
-      s.after_detached(sim::TimeDelta::seconds(dt), [this] { fire(); });
-    }
-  };
-  Pump pump{s, network, a, b, pkt, dt};
-  pump.fire();
-
-  s.run_until(sim::SimTime::seconds(1));  // warmup
-  const std::uint64_t allocs0 = g_allocs;
-  const std::uint64_t delivered0 = delivered;
-  const double t0 = now_seconds();
-  s.run_until(sim::SimTime::seconds(11));
-  const double wall = now_seconds() - t0;
-
-  ForwardingResult r;
-  r.hops = delivered - delivered0;
-  r.allocs = g_allocs - allocs0;
-  r.allocs_per_hop = static_cast<double>(r.allocs) / static_cast<double>(r.hops);
-  r.hops_per_sec = static_cast<double>(r.hops) / wall;
   return r;
 }
 
@@ -409,23 +336,12 @@ int main() {
 
   const ColdRecordsResult cold_on = run_cold_records(/*wheel_on=*/true);
   const ColdRecordsResult cold_off = run_cold_records(/*wheel_on=*/false);
-  std::printf("cold records (wheel)   : %8.2f M events/s   %.1f ns/event  "
-              "(%llu firings, order checksum %016llx)\n",
+  std::printf("cold records (wheel)   : %8.2f M events/s   %.1f ns/event  (%llu firings)\n",
               cold_on.events_per_sec / 1e6, cold_on.ns_per_event,
-              static_cast<unsigned long long>(cold_on.events),
-              static_cast<unsigned long long>(cold_on.order_checksum));
-  std::printf("cold records (heap)    : %8.2f M events/s   %.1f ns/event  "
-              "(%llu firings, order checksum %016llx)\n",
+              static_cast<unsigned long long>(cold_on.events));
+  std::printf("cold records (heap)    : %8.2f M events/s   %.1f ns/event  (%llu firings)\n",
               cold_off.events_per_sec / 1e6, cold_off.ns_per_event,
-              static_cast<unsigned long long>(cold_off.events),
-              static_cast<unsigned long long>(cold_off.order_checksum));
-
-  const ForwardingResult fwd = run_forwarding_loop();
-  std::printf("forwarding steady state: %8.2f M hops/s     %.4f allocs/hop (%llu allocs / %llu hops)\n",
-              fwd.hops_per_sec / 1e6, fwd.allocs_per_hop,
-              static_cast<unsigned long long>(fwd.allocs),
-              static_cast<unsigned long long>(fwd.hops));
-
+              static_cast<unsigned long long>(cold_off.events));
 
   std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
   if (json != nullptr) {
@@ -461,15 +377,7 @@ int main() {
                  "    \"wheel_on_events_per_sec\": %.0f,\n"
                  "    \"wheel_on_ns_per_event\": %.1f,\n"
                  "    \"wheel_off_events_per_sec\": %.0f,\n"
-                 "    \"wheel_off_ns_per_event\": %.1f,\n"
-                 "    \"wheel_on_order_checksum\": \"%016llx\",\n"
-                 "    \"wheel_off_order_checksum\": \"%016llx\"\n"
-                 "  },\n"
-                 "  \"forwarding_steady_state\": {\n"
-                 "    \"hops\": %llu,\n"
-                 "    \"allocs\": %llu,\n"
-                 "    \"allocs_per_hop\": %.6f,\n"
-                 "    \"hops_per_sec\": %.0f\n"
+                 "    \"wheel_off_ns_per_event\": %.1f\n"
                  "  }\n"
                  "}\n",
                  std::thread::hardware_concurrency(),
@@ -481,11 +389,7 @@ int main() {
                  sh_on.wheel_insert_rate, sh_on.cascades_per_event, sh_on.allocs_per_event,
                  kColdChains, sizeof(ColdRecord), static_cast<unsigned long long>(cold_on.events),
                  cold_on.events_per_sec, cold_on.ns_per_event, cold_off.events_per_sec,
-                 cold_off.ns_per_event, static_cast<unsigned long long>(cold_on.order_checksum),
-                 static_cast<unsigned long long>(cold_off.order_checksum),
-                 static_cast<unsigned long long>(fwd.hops),
-                 static_cast<unsigned long long>(fwd.allocs), fwd.allocs_per_hop,
-                 fwd.hops_per_sec);
+                 cold_off.ns_per_event);
     std::fclose(json);
     std::printf("wrote BENCH_event_engine.json\n");
   }

@@ -21,7 +21,12 @@ void CsfqEdgeRouter::add_flow(const net::FlowSpec& spec) {
   assert(spec.ingress == node_);
   assert(spec.valid());
   if (tracker_ != nullptr) tracker_->declare_flow(spec.id, spec.weight);
-  flows_.add(spec, cfg_);
+  std::uint32_t extra = qos::EdgeFlow::kNoExtra;
+  if (spec.flood_pps > 0.0) {
+    extra = static_cast<std::uint32_t>(flood_pps_.size());
+    flood_pps_.push_back(spec.flood_pps);
+  }
+  flows_.add(spec, cfg_, extra);
 }
 
 void CsfqEdgeRouter::start_flow(FlowState& fs) {
@@ -32,7 +37,7 @@ void CsfqEdgeRouter::start_flow(FlowState& fs) {
   if (tracker_ != nullptr) {
     // Rate samples live on the experiment-time axis (identical to the
     // engine clock whenever fluid fast-forward is off).
-    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
+    tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
   }
   emit_packet(fs);
 }
@@ -40,7 +45,7 @@ void CsfqEdgeRouter::start_flow(FlowState& fs) {
 void CsfqEdgeRouter::stop_flow(FlowState& fs) {
   if (!flows_.deactivate(fs)) return;  // also orphans the in-flight emission event
   fs.losses_this_epoch = 0;
-  if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), 0.0);
+  if (tracker_ != nullptr) tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), 0.0);
 }
 
 void CsfqEdgeRouter::emit_packet(FlowState& fs) {
@@ -52,20 +57,20 @@ void CsfqEdgeRouter::emit_packet(FlowState& fs) {
   net::Packet p;
   p.uid = net_.next_packet_uid(node_);
   p.kind = net::PacketKind::Data;
-  p.flow = fs.spec.id;
+  p.flow = fs.id;
   p.src = node_;
-  p.dst = fs.spec.egress;
+  p.dst = fs.egress;
   p.size = cfg_.packet_size;
-  p.label = estimate / fs.spec.weight;  // normalized rate label
+  p.label = estimate / fs.weight;  // normalized rate label
   p.created = now;
-  if (tracker_ != nullptr) tracker_->on_sent(fs.spec.id);
+  if (tracker_ != nullptr) tracker_->on_sent(fs.id);
   net_.inject(node_, std::move(p));
 
   // An unresponsive flood paces at its fixed rate regardless of the
   // controller; the label above still carries its true estimated rate,
   // so CSFQ cores see exactly what the protocol promises them.
-  const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
-                                              : std::max(fs.ctrl.rate_pps(), 1e-3);
+  const double flood = flood_pps(fs);
+  const double rate = flood > 0.0 ? flood : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(sim::TimeDelta::seconds(1.0 / rate),
                                        sim::hinted(&fs, [this, &fs, gen = fs.emit_gen] {
                                          if (gen == fs.emit_gen) emit_packet(fs);
@@ -78,14 +83,14 @@ void CsfqEdgeRouter::on_epoch() {
   flows_.for_each_active([&](FlowState& fs) {
     const int losses = fs.losses_this_epoch;
     fs.losses_this_epoch = 0;
-    if (fs.spec.flood_pps > 0.0) {
+    if (const double flood = flood_pps(fs); flood > 0.0) {
       // Unresponsive source: loss feedback is discarded, the rate series
       // records the flood rate it actually emits at.
-      if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
+      if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, flood);
       return;
     }
     fs.ctrl.on_epoch(cfg_.adapt, losses, now);
-    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
+    if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, fs.ctrl.rate_pps());
   });
 }
 

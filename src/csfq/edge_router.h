@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "csfq/config.h"
 #include "csfq/rate_estimator.h"
@@ -50,12 +51,19 @@ class CsfqEdgeRouter {
 
  private:
   struct FlowState : qos::EdgeFlow {
-    FlowState(const net::FlowSpec& s, const CsfqConfig& cfg)
-        : EdgeFlow{s, cfg.adapt}, estimator{cfg.k_flow} {}
+    FlowState(const net::FlowSpec& s, const CsfqConfig& cfg, std::uint32_t extra_index)
+        : EdgeFlow{s, cfg.adapt, extra_index}, estimator{cfg.k_flow} {}
 
-    ExponentialRateEstimator estimator;
     int losses_this_epoch = 0;
+    ExponentialRateEstimator estimator;
   };
+  // gen-100k holds 100k of these: four to a 512-B deque block.
+  static_assert(sizeof(FlowState) <= 128, "CSFQ edge flow record grew");
+
+  /// A flood's fixed rate (EdgeFlow::extra indexes it); 0 for the rest.
+  [[nodiscard]] double flood_pps(const FlowState& fs) const {
+    return fs.extra == qos::EdgeFlow::kNoExtra ? 0.0 : flood_pps_[fs.extra];
+  }
   friend class qos::FlowTable<FlowState, CsfqEdgeRouter>;
 
   void start_flow(FlowState& fs);
@@ -69,6 +77,7 @@ class CsfqEdgeRouter {
   CsfqConfig cfg_;
   stats::FlowTracker* tracker_;
   qos::FlowTable<FlowState, CsfqEdgeRouter> flows_{*this, net_, node_};
+  std::vector<double> flood_pps_;  ///< the flood flows' rates
   sim::PeriodicHandle epoch_timer_;
   std::uint64_t losses_received_ = 0;
 };

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/types.h"
@@ -32,6 +34,40 @@ struct ActiveInterval {
   }
   return true;
 }
+
+/// A read-only copy of a window list for per-flow records that live for
+/// a whole run: a single window (a generated population has about one
+/// per flow) is held inline, and only a longer list takes one heap
+/// array.  24 bytes, the size of an empty std::vector.
+class ActivityWindows {
+ public:
+  explicit ActivityWindows(std::span<const ActiveInterval> windows)
+      : size_{static_cast<std::uint32_t>(windows.size())} {
+    if (size_ > 1) {
+      many_ = new ActiveInterval[size_];
+      std::copy(windows.begin(), windows.end(), many_);
+    } else if (size_ == 1) {
+      one_ = windows.front();
+    }
+  }
+  ~ActivityWindows() {
+    if (size_ > 1) delete[] many_;
+  }
+  ActivityWindows(const ActivityWindows&) = delete;
+  ActivityWindows& operator=(const ActivityWindows&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const ActiveInterval& operator[](std::size_t i) const { return data()[i]; }
+
+ private:
+  [[nodiscard]] const ActiveInterval* data() const { return size_ > 1 ? many_ : &one_; }
+
+  union {
+    ActiveInterval one_{};
+    ActiveInterval* many_;
+  };
+  std::uint32_t size_;
+};
 
 struct FlowSpec {
   FlowId id = kInvalidFlow;

@@ -24,7 +24,13 @@ void CoreliteEdgeRouter::admit(const net::FlowSpec& spec, std::unique_ptr<Transi
   assert(spec.ingress == node_ && "flow must enter the network at this edge router");
   assert(spec.valid());
   if (tracker_ != nullptr) tracker_->declare_flow(spec.id, spec.weight);
-  flows_.add(spec, cfg_, std::move(transit));
+  std::uint32_t extra = EdgeFlow::kNoExtra;
+  if (spec.min_rate_pps > 0.0 || spec.flood_pps > 0.0 || transit != nullptr ||
+      cfg_.pacing == PacingMode::OnOff) {
+    extra = static_cast<std::uint32_t>(extras_.size());
+    extras_.push_back({spec.min_rate_pps, spec.flood_pps, {}, std::move(transit)});
+  }
+  flows_.add(spec, cfg_, extra);
 }
 
 void CoreliteEdgeRouter::add_flow(const net::FlowSpec& spec) { admit(spec, nullptr); }
@@ -42,7 +48,7 @@ void CoreliteEdgeRouter::add_transit_flow(const net::FlowSpec& spec) {
 
 bool CoreliteEdgeRouter::intercept_transit(net::Packet& p) {
   FlowState* fsp = flows_.lookup(p.flow);
-  if (fsp == nullptr || fsp->transit == nullptr) return false;
+  if (fsp == nullptr || transit(*fsp) == nullptr) return false;
   if (p.kind == net::PacketKind::Marker) {
     // Cloud boundary: markers are edge-to-edge signals of the UPSTREAM
     // cloud; absorb them here.  This edge injects its own markers for
@@ -51,7 +57,7 @@ bool CoreliteEdgeRouter::intercept_transit(net::Packet& p) {
   }
   if (p.kind != net::PacketKind::Data) return false;
   FlowState& fs = *fsp;
-  Transit& tr = *fs.transit;
+  Transit& tr = *transit(fs);
   if (!fs.active() || tr.queue.size() >= cfg_.edge_queue_capacity) {
     // Edge policing drop: the ONLY place Corelite loses packets.
     ++transit_drops_;
@@ -67,7 +73,7 @@ bool CoreliteEdgeRouter::intercept_transit(net::Packet& p) {
 }
 
 void CoreliteEdgeRouter::drain_transit(FlowState& fs) {
-  Transit& tr = *fs.transit;
+  Transit& tr = *transit(fs);
   if (!fs.active() || tr.queue.empty()) {
     tr.draining = false;
     return;
@@ -81,7 +87,7 @@ void CoreliteEdgeRouter::drain_transit(FlowState& fs) {
   while (!tr.queue.empty() && tr.bucket.try_consume(1.0, now)) {
     net::Packet p = std::move(tr.queue.front());
     tr.queue.pop_front();
-    if (tracker_ != nullptr) tracker_->on_sent(fs.spec.id);
+    if (tracker_ != nullptr) tracker_->on_sent(fs.id);
     // Forward directly via the FIB: re-injecting at the node would loop
     // straight back into the transit hook.
     net::Link* out = net_.node(node_).next_hop(p.dst);
@@ -105,14 +111,16 @@ void CoreliteEdgeRouter::start_flow(FlowState& fs) {
   fs.marker_credit = 0.0;
   fs.feedback_per_core.clear();
   fs.ctrl.reset(cfg_.adapt, net_.local_sim(node_).now());
-  fs.pacing_anchor = net_.local_sim(node_).now();
+  if (cfg_.pacing == PacingMode::OnOff) {
+    extras_[fs.extra].pacing_anchor = net_.local_sim(node_).now();
+  }
   if (tracker_ != nullptr) {
     // Rate samples live on the experiment-time axis (identical to the
     // engine clock whenever fluid fast-forward is off).
-    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
+    tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), fs.ctrl.rate_pps());
   }
-  if (fs.transit != nullptr) {
-    Transit& tr = *fs.transit;
+  if (Transit* t = transit(fs); t != nullptr) {
+    Transit& tr = *t;
     // Fresh admission: no banked burst credit from the idle period.
     tr.bucket.clear(net_.local_sim(node_).now());
     if (!tr.queue.empty() && !tr.draining) {
@@ -126,12 +134,12 @@ void CoreliteEdgeRouter::start_flow(FlowState& fs) {
 
 void CoreliteEdgeRouter::stop_flow(FlowState& fs) {
   if (!flows_.deactivate(fs)) return;  // also orphans in-flight emission/drain events
-  if (fs.transit != nullptr) {
-    fs.transit->draining = false;
-    fs.transit->queue.clear();
+  if (Transit* t = transit(fs); t != nullptr) {
+    t->draining = false;
+    t->queue.clear();
   }
   fs.feedback_per_core.clear();
-  if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), 0.0);
+  if (tracker_ != nullptr) tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), 0.0);
 }
 
 void CoreliteEdgeRouter::emit_packet(FlowState& fs) {
@@ -140,21 +148,21 @@ void CoreliteEdgeRouter::emit_packet(FlowState& fs) {
   net::Packet p;
   p.uid = net_.next_packet_uid(node_);
   p.kind = net::PacketKind::Data;
-  p.flow = fs.spec.id;
+  p.flow = fs.id;
   p.src = node_;
-  p.dst = fs.spec.egress;
+  p.dst = fs.egress;
   p.size = cfg_.packet_size;
   p.created = net_.local_sim(node_).now();
-  if (tracker_ != nullptr) tracker_->on_sent(fs.spec.id);
+  if (tracker_ != nullptr) tracker_->on_sent(fs.id);
   net_.inject(node_, std::move(p));
 
   // An unresponsive flood bypasses the control protocol: no markers (a
   // non-compliant source doesn't speak it) and a fixed emission rate
   // the feedback loop never touches.
-  if (fs.spec.flood_pps <= 0.0) count_marker_credit_and_maybe_mark(fs);
+  const double flood = flood_pps(fs);
+  if (flood <= 0.0) count_marker_credit_and_maybe_mark(fs);
 
-  const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
-                                              : std::max(fs.ctrl.rate_pps(), 1e-3);
+  const double rate = flood > 0.0 ? flood : std::max(fs.ctrl.rate_pps(), 1e-3);
   net_.local_sim(node_).after_detached(next_emission_gap(fs, rate),
                                        sim::hinted(&fs, [this, &fs, gen = fs.emit_gen] {
                                          if (gen == fs.emit_gen) emit_packet(fs);
@@ -168,7 +176,7 @@ void CoreliteEdgeRouter::count_marker_credit_and_maybe_mark(FlowState& fs) {
   // their running average and shield genuinely over-share flows).
   const double rate_now = fs.ctrl.rate_pps();
   if (rate_now <= 0.0) return;
-  fs.marker_credit += fs.out_of_profile_pps() / rate_now;
+  fs.marker_credit += out_of_profile_pps(fs) / rate_now;
   if (fs.marker_credit >= static_cast<double>(fs.marker_spacing)) {
     fs.marker_credit -= static_cast<double>(fs.marker_spacing);
     inject_marker(fs);
@@ -188,7 +196,7 @@ sim::TimeDelta CoreliteEdgeRouter::next_emission_gap(FlowState& fs, double rate_
       const double peak_gap = mean_gap * burst / cycle;
       const double now = net_.local_sim(node_).now().sec();
       const double next = now + peak_gap;
-      const double anchor = fs.pacing_anchor.sec();
+      const double anchor = extras_[fs.extra].pacing_anchor.sec();
       const double pos = std::fmod(next - anchor, cycle);
       if (pos <= burst) return sim::TimeDelta::seconds(next - now);
       // The next slot falls into the idle window: defer to the start of
@@ -207,11 +215,11 @@ void CoreliteEdgeRouter::inject_marker(FlowState& fs) {
   net::Packet m;
   m.uid = net_.next_packet_uid(node_);
   m.kind = net::PacketKind::Marker;
-  m.flow = fs.spec.id;
+  m.flow = fs.id;
   m.src = node_;
-  m.dst = fs.spec.egress;  // markers follow the flow's path
+  m.dst = fs.egress;  // markers follow the flow's path
   m.size = sim::DataSize::zero();
-  m.marker = net::MarkerInfo{node_, fs.spec.id, fs.out_of_profile_pps() / fs.spec.weight};
+  m.marker = net::MarkerInfo{node_, fs.id, out_of_profile_pps(fs) / fs.weight};
   m.created = net_.local_sim(node_).now();
   ++markers_injected_;
   // Forward via the FIB directly: injecting at the node would run the
@@ -229,11 +237,11 @@ void CoreliteEdgeRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   const sim::SimTime exp_now = net_.local_sim(node_).exp_now();
   flows_.for_each_active([&](FlowState& fs) {
-    if (fs.spec.flood_pps > 0.0) {
+    if (const double flood = flood_pps(fs); flood > 0.0) {
       // Unresponsive source: feedback is discarded, the rate series
       // records the flood rate it actually emits at.
       fs.feedback_per_core.clear();
-      if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
+      if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, flood);
       return;
     }
     // React to the bottleneck: max over core routers, not the sum
@@ -242,7 +250,7 @@ void CoreliteEdgeRouter::on_epoch() {
     for (const auto& [core, count] : fs.feedback_per_core) m = std::max(m, count);
     fs.feedback_per_core.clear();
     fs.ctrl.on_epoch(cfg_.adapt, m, now);
-    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl.rate_pps());
+    if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, fs.ctrl.rate_pps());
   });
 }
 

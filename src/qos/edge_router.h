@@ -87,33 +87,50 @@ class CoreliteEdgeRouter {
   };
 
   struct FlowState : EdgeFlow {
-    FlowState(const net::FlowSpec& s, const CoreliteConfig& cfg, std::unique_ptr<Transit> t)
-        : EdgeFlow{s, cfg.adapt},
+    FlowState(const net::FlowSpec& s, const CoreliteConfig& cfg, std::uint32_t extra_index)
+        : EdgeFlow{s, cfg.adapt, extra_index},
           marker_spacing{std::max<std::uint32_t>(
-              1, static_cast<std::uint32_t>(std::lround(cfg.k1 * s.weight)))},
-          transit{std::move(t)} {}
+              1, static_cast<std::uint32_t>(std::lround(cfg.k1 * s.weight)))} {}
 
+    std::uint32_t marker_spacing;  ///< N_w = K1 * w
     /// Out-of-profile packet credit: each data packet contributes the
     /// flow's out-of-profile fraction; a marker is injected when the
     /// credit reaches N_w.  For flows without a min-rate contract every
     /// packet is out-of-profile and this reduces to "a marker after
     /// every N_w data packets" (paper §2.2).
     double marker_credit = 0.0;
-    std::uint32_t marker_spacing;  ///< N_w = K1 * w
     /// Marker-feedback counts keyed by originating core router.  A flow
     /// crosses a handful of cores, so a flat pair vector beats a hash
     /// map on both memory (no buckets per flow) and epoch-scan cost.
     std::vector<std::pair<net::NodeId, int>> feedback_per_core;
-    sim::SimTime pacing_anchor;  ///< OnOff burst-cycle phase reference
-    std::unique_ptr<Transit> transit;  ///< null for sourced flows
+  };
+  // gen-100k holds 100k of these: four to a 512-B deque block.
+  static_assert(sizeof(FlowState) <= 128, "Corelite edge flow record grew");
 
-    /// Rate above the minimum contract — the only part that competes
-    /// for weighted fairness and the only part that is marked.
-    [[nodiscard]] double out_of_profile_pps() const {
-      return std::max(0.0, ctrl.rate_pps() - spec.min_rate_pps);
-    }
+  /// What few flows carry, kept off the record (EdgeFlow::extra): a
+  /// minimum-rate contract, a flood rate, OnOff pacing's phase and
+  /// transit shaping.  A sourced flow with none of them under Paced or
+  /// Poisson pacing (every flow of a generated population) has no entry.
+  struct FlowExtra {
+    double min_rate_pps = 0.0;
+    double flood_pps = 0.0;
+    sim::SimTime pacing_anchor;        ///< OnOff burst-cycle phase reference
+    std::unique_ptr<Transit> transit;  ///< null for sourced flows
   };
   friend class FlowTable<FlowState, CoreliteEdgeRouter>;
+
+  [[nodiscard]] double flood_pps(const FlowState& fs) const {
+    return fs.extra == EdgeFlow::kNoExtra ? 0.0 : extras_[fs.extra].flood_pps;
+  }
+  [[nodiscard]] Transit* transit(const FlowState& fs) const {
+    return fs.extra == EdgeFlow::kNoExtra ? nullptr : extras_[fs.extra].transit.get();
+  }
+  /// Rate above the minimum contract — the only part that competes
+  /// for weighted fairness and the only part that is marked.
+  [[nodiscard]] double out_of_profile_pps(const FlowState& fs) const {
+    const double contract = fs.extra == EdgeFlow::kNoExtra ? 0.0 : extras_[fs.extra].min_rate_pps;
+    return std::max(0.0, fs.ctrl.rate_pps() - contract);
+  }
 
   void admit(const net::FlowSpec& spec, std::unique_ptr<Transit> transit);
   void start_flow(FlowState& fs);
@@ -132,6 +149,7 @@ class CoreliteEdgeRouter {
   CoreliteConfig cfg_;
   stats::FlowTracker* tracker_;
   FlowTable<FlowState, CoreliteEdgeRouter> flows_{*this, net_, node_};
+  std::vector<FlowExtra> extras_;
   sim::PeriodicHandle epoch_timer_;
   std::uint64_t markers_injected_ = 0;
   std::uint64_t feedback_received_ = 0;

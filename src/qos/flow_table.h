@@ -2,7 +2,16 @@
 //
 // In the paper's architecture the edges hold all per-flow state and the
 // cores hold none, so at scale the edge's flow record is the whole
-// per-flow memory cost.  FlowTable keeps, once for both edges:
+// per-flow memory cost.  The record (EdgeFlow and what an edge adds to
+// it) keeps only what a flow's own packets and epochs read: its id,
+// egress and weight, its rate controller, its activity windows (one
+// inline, more on the heap) and the active-set position.  What the
+// edge already knows (its own node) is not copied, and what few flows
+// carry (a minimum-rate contract, a flood rate, transit shaping) sits
+// in the edge's side list behind EdgeFlow::extra.  A Corelite record is
+// 120 B and a CSFQ one 120 B: four to a 512-B deque block.
+//
+// FlowTable keeps, once for both edges:
 //   - the records, in one address-stable slab: emission and lifecycle
 //     events capture Flow&, and std::deque never moves an element on
 //     emplace_back, while allocating records a block at a time;
@@ -35,20 +44,32 @@ namespace corelite::qos {
 /// The fields every edge flow record starts with.
 struct EdgeFlow {
   static constexpr std::uint32_t kInactive = UINT32_MAX;
+  static constexpr std::uint32_t kNoExtra = UINT32_MAX;
 
-  EdgeFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt)
-      : spec{s}, ctrl{adapt, s.min_rate_pps} {}
+  EdgeFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt, std::uint32_t extra_index)
+      : id{s.id},
+        egress{s.egress},
+        weight{s.weight},
+        ctrl{adapt, s.min_rate_pps},
+        windows{s.active},
+        extra{extra_index} {}
 
   [[nodiscard]] bool active() const { return active_slot != kInactive; }
 
-  net::FlowSpec spec;
+  net::FlowId id;
+  net::NodeId egress;
+  double weight;
   RateController ctrl;
+  net::ActivityWindows windows;
   /// Position in the table's active set; kInactive while stopped.
   std::uint32_t active_slot = kInactive;
   /// Emission events are fire-and-forget (no per-event control block);
   /// stopping the flow bumps this generation so in-flight events of the
   /// old chain turn into no-ops.
   std::uint32_t emit_gen = 0;
+  /// The flow's entry in its edge's list of rarely used attributes, or
+  /// kNoExtra for a flow with none.
+  std::uint32_t extra;
 };
 
 /// `Flow` derives from EdgeFlow.  At each activity-window transition the
@@ -72,10 +93,10 @@ class FlowTable {
   template <class... Args>
   Flow& add(Args&&... args) {
     Flow& fs = flows_.emplace_back(std::forward<Args>(args)...);
-    assert(fs.spec.id != net::kInvalidFlow && "kInvalidFlow marks empty index slots");
-    assert(find(fs.spec.id) == kNone && "duplicate flow id");
+    assert(fs.id != net::kInvalidFlow && "kInvalidFlow marks empty index slots");
+    assert(find(fs.id) == kNone && "duplicate flow id");
     if (2 * flows_.size() > slots_.size()) rehash(std::max<std::size_t>(16, 2 * slots_.size()));
-    insert({fs.spec.id, static_cast<std::uint32_t>(flows_.size() - 1)});
+    insert({fs.id, static_cast<std::uint32_t>(flows_.size() - 1)});
     schedule_window(fs, 0);
     return fs;
   }
@@ -180,7 +201,7 @@ class FlowTable {
   // one start and one finite-stop event, matching the eager schedule.
   void schedule_window(Flow& fs, std::size_t window) {
     auto& sim = net_.local_sim(node_);
-    const auto& windows = fs.spec.active;
+    const net::ActivityWindows& windows = fs.windows;
     if (warp_ != nullptr) {
       // Fluid fast-forward: transitions are pinned to absolute
       // *experiment* time in the warp registry, whose heap top also caps
@@ -189,7 +210,7 @@ class FlowTable {
       if (window >= windows.size()) return;
       warp_->at_exp(std::max(windows[window].start, sim.exp_now()), [this, &fs, window] {
         owner_.start_flow(fs);
-        const sim::SimTime stop = fs.spec.active[window].stop;
+        const sim::SimTime stop = fs.windows[window].stop;
         if (stop < sim::SimTime::infinite()) {
           warp_->at_exp(stop, [this, &fs, window] {
             owner_.stop_flow(fs);
@@ -205,7 +226,7 @@ class FlowTable {
     if (window >= windows.size()) return;
     sim.at_detached(std::max(windows[window].start, sim.now()), [this, &fs, window] {
       owner_.start_flow(fs);
-      const sim::SimTime stop = fs.spec.active[window].stop;
+      const sim::SimTime stop = fs.windows[window].stop;
       if (stop < sim::SimTime::infinite()) {
         net_.local_sim(node_).at_detached(stop, [this, &fs, window] {
           owner_.stop_flow(fs);

@@ -318,6 +318,9 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   ScenarioResult result;
   stats::FlowTracker& tracker = result.tracker;
   tracker.set_series_enabled(record_series);
+  net::FlowId max_id = 0;
+  for (const GenFlow& f : flows) max_id = std::max(max_id, f.id);
+  tracker.reserve(std::size_t{max_id} + 1);
 
   if (spec.control_loss_rate > 0.0) {
     for (const auto& link : network.links()) {

@@ -18,10 +18,9 @@ void EventQueue::clear() {
   };
   for (const Entry& e : heap_) discard(e);
   heap_.clear();
-  // The consumed prefix of the buffer was already recycled on pop.
-  for (std::size_t i = buf_pos_; i < buffer_.size(); ++i) discard(buffer_[i]);
+  // Popped entries were already recycled.
+  for (const Entry& e : buffer_) discard(e);
   buffer_.clear();
-  buf_pos_ = 0;
   std::vector<Entry> pending;
   wheel_.drain_all(pending);
   for (const Entry& e : pending) discard(e);

@@ -14,7 +14,9 @@
 // the wheel declines: events before the cursor tick, beyond the
 // ~2^32-tick horizon, or at non-finite times.  An event due inside the
 // cursor tick itself (a completion a few microseconds out) goes into
-// the sorted buffer that tick is being drained from.  Popping merges the
+// the buffer that tick is being drained from, which is sorted latest
+// first and popped from the back: the insert shifts only the entries
+// due before it.  Popping merges the
 // two tiers by exact (time, seq), so the firing order — and therefore
 // every golden digest — is bit-identical to the heap-only engine.  Setting
 // the environment variable CORELITE_NO_WHEEL (to any value) routes all
@@ -195,40 +197,38 @@ class EventQueue {
     if (a.at != b.at) return a.at < b.at;
     return a.key < b.key;
   }
+  /// The drain buffer's order: latest first, so the next due is at the back.
+  static bool later(const Entry& a, const Entry& b) { return earlier(b, a); }
 
   /// Surface the earliest live entry across both tiers, lazily
-  /// discarding cancelled entries from the wheel buffer front and the
-  /// heap root.  Refills the wheel buffer (sorted by exact (time, seq))
-  /// from the next occupied slot when it runs dry.
+  /// discarding cancelled entries from the wheel buffer's back and the
+  /// heap root.  Refills the wheel buffer (sorted latest first by exact
+  /// (time, seq)) from the next occupied slot when it runs dry.
   Front front_entry() const {
     for (;;) {
-      if (buf_pos_ < buffer_.size()) {
-        const Entry& e = buffer_[buf_pos_];
+      if (!buffer_.empty()) {
+        const Entry& e = buffer_.back();
         if ((e.key & kCancellableBit) != 0 && recycle_if_cancelled(e)) {
-          ++buf_pos_;
+          buffer_.pop_back();
           continue;
         }
         break;
       }
       if (wheel_.count() == 0) break;
-      buffer_.clear();
-      buf_pos_ = 0;
       wheel_.collect_next(buffer_);
       if (buffer_.size() > 1) {
-        std::sort(buffer_.begin(), buffer_.end(), earlier);
-        // Prefetch stage 1: the first entry fires now and reads its
-        // slot anyway; start loading the slot line of every later one.
-        for (std::size_t i = 1; i < buffer_.size(); ++i) {
+        std::sort(buffer_.begin(), buffer_.end(), later);
+        // Prefetch stage 1: the back entry fires now and reads its slot
+        // anyway; start loading the slot line of every other one, next
+        // due first.
+        for (std::size_t i = buffer_.size() - 1; i-- > 0;) {
           __builtin_prefetch(&slots_[buffer_[i].key & kSlotMask]);
         }
       }
     }
     drop_dead();
-    const bool have_buf = buf_pos_ < buffer_.size();
-    if (!have_buf) return heap_.empty() ? Front{} : Front{&heap_[0], false};
-    if (heap_.empty() || earlier(buffer_[buf_pos_], heap_[0])) {
-      return Front{&buffer_[buf_pos_], true};
-    }
+    if (buffer_.empty()) return heap_.empty() ? Front{} : Front{&heap_[0], false};
+    if (heap_.empty() || earlier(buffer_.back(), heap_[0])) return Front{&buffer_.back(), true};
     return Front{&heap_[0], false};
   }
 
@@ -240,11 +240,11 @@ class EventQueue {
   SimTime pop_and_fire(Front f, SetClock&& set_clock) {
     const Entry top = *f.entry;
     if (f.from_wheel) {
-      ++buf_pos_;
+      buffer_.pop_back();
       // Prefetch stage 2: stage 1 cached the next entry's slot, so its
       // hint is cheap to read; fetch the hinted line while this one runs.
-      if (buf_pos_ < buffer_.size()) {
-        if (const void* h = slots_[buffer_[buf_pos_].key & kSlotMask].cb.hint()) {
+      if (!buffer_.empty()) {
+        if (const void* h = slots_[buffer_.back().key & kSlotMask].cb.hint()) {
           __builtin_prefetch(h);
         }
       }
@@ -292,8 +292,8 @@ class EventQueue {
   }
 
   /// Tier selector: file short-horizon events in the wheel, and events
-  /// due inside the tick being drained in the sorted drain buffer at
-  /// their exact (time, seq) place.  Everything else (past ticks, beyond
+  /// due inside the tick being drained in the drain buffer at their
+  /// exact (time, seq) place.  Everything else (past ticks, beyond
   /// horizon, non-finite, or CORELITE_NO_WHEEL) goes to the overflow heap.
   void push_entry(double at, std::uint32_t slot, bool cancellable) {
     const std::uint64_t seq = next_seq_++;
@@ -307,14 +307,10 @@ class EventQueue {
       // The buffer holds the cursor tick's entries; every entry left in
       // the wheel is due at a later tick, so the buffer stays in front.
       if (wheel_.in_cursor_tick(at)) {
-        if (buf_pos_ == buffer_.size()) {
-          buffer_.clear();
-          buf_pos_ = 0;
-        }
+        // Latest first: the new entry goes just ahead of the entries due
+        // before it, and only those shift.
         const Entry e{at, key};
-        buffer_.insert(std::upper_bound(buffer_.begin() + static_cast<std::ptrdiff_t>(buf_pos_),
-                                        buffer_.end(), e, earlier),
-                       e);
+        buffer_.insert(std::upper_bound(buffer_.begin(), buffer_.end(), e, later), e);
         ++hotpath_counters().wheel_inserts;
         return;
       }
@@ -385,8 +381,7 @@ class EventQueue {
   // surfacing the wheel front collects its next occupied slot.
   mutable std::vector<Entry> heap_;       ///< 4-ary min-heap: overflow tier
   mutable TimerWheel wheel_;              ///< primary tier (short horizon)
-  mutable std::vector<Entry> buffer_;     ///< current wheel slot, sorted
-  mutable std::size_t buf_pos_ = 0;       ///< consumed prefix of buffer_
+  mutable std::vector<Entry> buffer_;     ///< current wheel slot, latest first
   mutable std::vector<Slot> slots_;       ///< callback storage, recycled
   mutable std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

@@ -29,7 +29,7 @@ void FluidController::start() {
   last_events_ = sim_.events_processed();
   for (Tracked& f : flows_) {
     if (!tracker_.has(f.id)) continue;
-    const auto& fs = tracker_.series(f.id);
+    const auto& fs = tracker_.counters(f.id);
     f.last_delivered = fs.delivered;
     f.last_sent = fs.sent;
     f.last_dropped = fs.dropped;
@@ -169,7 +169,7 @@ void FluidController::tick() {
   const double zq =
       quant * std::sqrt(2.0 * std::log(std::max<double>(static_cast<double>(flows_.size()), 2.0)));
   for (Tracked& f : flows_) {
-    const auto& fs = tracker_.series(f.id);
+    const auto& fs = tracker_.counters(f.id);
     const double rd = static_cast<double>(fs.delivered - f.last_delivered) / dt;
     const double rs = static_cast<double>(fs.sent - f.last_sent) / dt;
     const double rr = static_cast<double>(fs.dropped - f.last_dropped) / dt;

@@ -59,7 +59,7 @@ void FairnessAuditor::on_window(sim::SimTime now) {
     std::uint64_t delivered = 0;
     std::uint64_t sent = 0;
     if (tracker_.has(fi.id)) {
-      const auto& fs = tracker_.series(fi.id);
+      const auto& fs = tracker_.counters(fi.id);
       delivered = fs.delivered;
       sent = fs.sent;
     }

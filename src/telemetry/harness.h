@@ -142,6 +142,8 @@ inline void print_series_footprint(const stats::FlowTracker& tracker) {
               "delay %.2f MB)\n",
               static_cast<double>(f.series_bytes + f.delay_bytes) / 1e6, f.rate_points,
               f.cumulative_points, f.delay_points, static_cast<double>(f.delay_bytes) / 1e6);
+  std::printf("  flow records         %12.2f MB  (%zu flows)\n",
+              static_cast<double>(f.record_bytes) / 1e6, tracker.flow_count());
 }
 
 }  // namespace corelite::telemetry

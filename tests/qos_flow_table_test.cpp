@@ -18,7 +18,8 @@ namespace corelite::qos {
 namespace {
 
 struct TestFlow : EdgeFlow {
-  TestFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt) : EdgeFlow{s, adapt} {}
+  TestFlow(const net::FlowSpec& s, const RateAdaptConfig& adapt)
+      : EdgeFlow{s, adapt, kNoExtra} {}
   int visits = 0;
 };
 
@@ -92,10 +93,10 @@ TEST(FlowTable, ForEachActiveVisitsTheActiveSetOnceInOrder) {
   std::vector<net::FlowId> order;
   f.table.for_each_active([&](TestFlow& fs) {
     ++fs.visits;
-    order.push_back(fs.spec.id);
+    order.push_back(fs.id);
   });
   std::vector<net::FlowId> active_order;
-  for (const TestFlow* fs : f.table.active()) active_order.push_back(fs->spec.id);
+  for (const TestFlow* fs : f.table.active()) active_order.push_back(fs->id);
   EXPECT_EQ(order, active_order);
 
   std::sort(order.begin(), order.end());
@@ -111,7 +112,7 @@ TEST(FlowTable, ActiveSlotIndexesOwnPositionAfterSwapRemoval) {
   const auto& active = f.table.active();
   ASSERT_EQ(active.size(), expected.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
-    EXPECT_EQ(active[i]->active_slot, i) << active[i]->spec.id;
+    EXPECT_EQ(active[i]->active_slot, i) << active[i]->id;
   }
   for (net::FlowId id = 1; id <= kFlows; ++id) {
     const bool listed = std::binary_search(expected.begin(), expected.end(), id);
@@ -128,7 +129,7 @@ TEST(FlowTable, LookupOfUnknownIdIsNull) {
   EXPECT_EQ(f.table.lookup(kFlows + 1), nullptr);
   EXPECT_EQ(f.table.lookup(1u << 30), nullptr);
   ASSERT_NE(f.table.lookup(kFlows), nullptr);
-  EXPECT_EQ(f.table.lookup(kFlows)->spec.id, kFlows);
+  EXPECT_EQ(f.table.lookup(kFlows)->id, kFlows);
 }
 
 // The index is sized by the flows the edge holds, not by the largest
@@ -146,7 +147,7 @@ TEST(FlowTable, SparseIdsCostSlotsNotTheIdRange) {
   EXPECT_LT(table.index_bytes(), 1024u);
   for (net::FlowId id : ids) {
     ASSERT_NE(table.lookup(id), nullptr) << id;
-    EXPECT_EQ(table.lookup(id)->spec.id, id);
+    EXPECT_EQ(table.lookup(id)->id, id);
   }
   for (net::FlowId id : {0u, 2u, 999'999u, 1'000'001u, 49'999'999u, 50'000'001u,
                          net::kInvalidFlow}) {
@@ -191,7 +192,7 @@ TEST(FlowTable, IndexBytesPerFlowIsFlatInTheNumberOfEdges) {
     for (const Table& t : tables) bytes += t.index_bytes();
     EXPECT_LE(bytes, 32 * kPopulation) << stages << " stages";
     for (const scenario::GenFlow& f : flows) {
-      ASSERT_EQ(tables[f.src_attach].lookup(f.id)->spec.id, f.id);
+      ASSERT_EQ(tables[f.src_attach].lookup(f.id)->id, f.id);
     }
   }
 }

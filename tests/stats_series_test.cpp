@@ -304,6 +304,103 @@ TEST(FlowTrackerClocks, PerLpSamplingReadsLikeSerialSampling) {
 }
 
 // ---------------------------------------------------------------------------
+// FlowTracker: per-flow storage
+
+/// One flow's counters as all() yields them.
+struct CountersRow {
+  net::FlowId id;
+  double weight;
+  std::uint64_t sent, delivered, dropped, feedback;
+  std::vector<double> delays;
+  bool operator==(const CountersRow&) const = default;
+};
+
+std::vector<CountersRow> counter_rows(const FlowTracker& t) {
+  std::vector<CountersRow> rows;
+  for (const auto& [id, fs] : t.all()) {
+    rows.push_back({id, fs.weight, fs.sent, fs.delivered, fs.dropped, fs.feedback_received,
+                    fs.delay_samples});
+  }
+  return rows;
+}
+
+TEST(FlowTrackerStorage, CountersReadTheSameWithSeriesOnAndOff) {
+  // Sparse ids declared out of order, one flow only ever bumped (never
+  // declared), deliveries with and without delays, rate and cumulative
+  // samples: the counters-only tracker must walk the same ids in the
+  // same order with the same counters and delay samples.
+  FlowTracker on;
+  FlowTracker off;
+  off.set_series_enabled(false);
+  const std::vector<net::FlowId> declared{40, 3, 17, 1, 1000, 2};
+  for (FlowTracker* t : {&on, &off}) {
+    for (net::FlowId id : declared) t->declare_flow(id, 0.5 + id % 7);
+    t->on_dropped(555);  // first seen through a bump: weight 1
+    t->sample_cumulative(sim::SimTime::seconds(0));
+    for (net::FlowId round = 0; round < 50; ++round) {
+      for (net::FlowId id : declared) {
+        t->on_sent(id);
+        if ((round + id) % 3 != 0) t->on_delivered(id, sim::TimeDelta::millis(round + id));
+        if (round % 5 == 0) t->on_delivered(id);
+        if (round % 7 == id % 7) t->on_dropped(id);
+        if (round % 4 == 0) t->on_feedback(id, 2);
+        t->record_rate(id, sim::SimTime::seconds(round), 10.0 + round);
+      }
+      t->add_synthesized(17, 3, 4, 1);
+      t->sample_cumulative(sim::SimTime::seconds(round + 1));
+    }
+  }
+  const auto rows = counter_rows(on);
+  ASSERT_EQ(rows.size(), 7u);
+  EXPECT_EQ(rows, counter_rows(off));
+  std::vector<net::FlowId> ids;
+  for (const CountersRow& r : rows) ids.push_back(r.id);
+  EXPECT_EQ(ids, (std::vector<net::FlowId>{1, 2, 3, 17, 40, 555, 1000}));
+  EXPECT_EQ(on.total_delivered(), off.total_delivered());
+  EXPECT_EQ(on.total_dropped(), off.total_dropped());
+  EXPECT_GT(on.total_delivered(), 0u);
+  EXPECT_FALSE(on.has(4));
+  EXPECT_FALSE(off.has(4));
+  EXPECT_EQ(off.series(1).weight, 1.5);
+  EXPECT_EQ(off.series(555).weight, 1.0);
+
+  // Only the series-on tracker stores rate and cumulative samples.
+  EXPECT_EQ(on.series(3).allotted_rate.size(), 50u);
+  EXPECT_EQ(on.series(3).cumulative_delivered.size(), 51u);
+  EXPECT_TRUE(off.series(3).allotted_rate.empty());
+  EXPECT_TRUE(off.series(3).cumulative_delivered.empty());
+  EXPECT_EQ(off.series(3).cumulative_delivered.value_at(10.0), 0.0);
+  EXPECT_GT(off.footprint().delay_points, 0u);
+  EXPECT_EQ(off.footprint().delay_points, on.footprint().delay_points);
+}
+
+TEST(FlowTrackerStorage, CountersOnlyFlowsCostUnder50BytesEach) {
+  // gen-100k's shape: 100k flows, counters only, with a delay sample on
+  // one flow in a hundred.  Every flow pays its counters, a series
+  // handle and a bit; series storage is paid only by the flows that
+  // recorded a delay.
+  constexpr net::FlowId kFlows = 100'000;
+  FlowTracker t;
+  t.set_series_enabled(false);
+  t.reserve(std::size_t{kFlows} + 1);
+  for (net::FlowId id = 1; id <= kFlows; ++id) t.declare_flow(id, 1.0 + id % 3);
+  for (net::FlowId id = 1; id <= kFlows; ++id) {
+    t.on_sent(id);
+    const int deliveries = id % 100 == 0 ? static_cast<int>(FlowTracker::kDelaySampleStride) : 1;
+    for (int k = 0; k < deliveries; ++k) t.on_delivered(id, sim::TimeDelta::millis(5));
+  }
+  ASSERT_EQ(t.flow_count(), kFlows);
+  const SeriesFootprint f = t.footprint();
+  const double per_flow = static_cast<double>(f.record_bytes) / kFlows;
+  RecordProperty("record_bytes_per_flow", std::to_string(per_flow));
+  EXPECT_LE(per_flow, 49.0);
+  EXPECT_EQ(f.delay_points, kFlows / 100);
+  EXPECT_EQ(f.rate_points + f.cumulative_points, 0u);
+  EXPECT_EQ(f.series_bytes, 0u);  // no clock samples, no series blocks
+  EXPECT_LE(f.delay_bytes, (kFlows / 100) * 64 * sizeof(double));
+}
+
+// ---------------------------------------------------------------------------
 // Memory budget
 
 /// Rate points cost at most 16 B and cumulative points at most 8 B,

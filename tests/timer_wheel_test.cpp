@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 #include "sim/units.h"
@@ -236,11 +238,11 @@ TEST(EventQueueTiering, WheelEnabledReflectsEnvironment) {
 }
 
 TEST(EventQueueTiering, SameTimestampFifoAcrossTiers) {
-  // A genuine cross-tier tie: two wheel-resident events at time t, and a
+  // A tie inside the drain: two wheel-resident events at time t, and a
   // third scheduled *during* t's own slot drain at exactly t — the wheel
-  // declines it (tick == cursor) into the heap.  Sequence order must
-  // still decide: wheel buffer front (earlier seq) fires before the
-  // heap-resident latecomer.
+  // declines it (tick == cursor) and it joins the drain buffer.
+  // Sequence order must still decide: the second wheel event (earlier
+  // seq) fires before the latecomer.
   Simulator s;
   std::vector<int> fired;
   const SimTime t = SimTime::seconds(0.25);
@@ -284,6 +286,80 @@ TEST(EventQueueTiering, RunUntilDeadlineLeavesWheelEventsPending) {
   EXPECT_EQ(s.now(), SimTime::seconds(2.0));
   s.run_until(SimTime::seconds(5.0));
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+// Cold per-flow records, the shape of the edges' emission timers at
+// scale: self-rescheduling chains, each updating its own 192-B record
+// through a sim::Hinted closure (the dispatcher prefetches an event
+// ahead), with periods uniform in [0.2, 0.8] s.  Every firing also
+// schedules a follow-up 0-4 us out, most of which fall inside the tick
+// being drained and are inserted into the drain buffer.
+struct ColdRecord {
+  double period;
+  std::uint64_t fires = 0;
+  double state = 0.0;
+  std::uint64_t other[21] = {};
+};
+static_assert(sizeof(ColdRecord) == 192);
+
+struct ColdChains {
+  Simulator& s;
+  std::vector<ColdRecord> records;
+  std::uint64_t fired = 0;
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+
+  void arm(std::uint32_t chain, TimeDelta delay) {
+    s.after_detached(delay, hinted(&records[chain], [this, chain] { fire(chain); }));
+  }
+
+  void note(std::uint64_t x) { checksum = (checksum ^ x) * 0x100000001b3ULL; }
+
+  void fire(std::uint32_t chain) {
+    ColdRecord& r = records[chain];
+    ++r.fires;
+    r.state = r.state * 0.5 + r.period;
+    ++fired;
+    const double t = s.now().sec();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof bits);
+    note(chain);
+    note(bits);
+    s.after_detached(TimeDelta::micros(static_cast<double>(chain % 5)),
+                     [this, chain] { note(~std::uint64_t{chain}); });
+    arm(chain, TimeDelta::seconds(r.period));
+  }
+};
+
+/// Firings and the (chain, fire time) checksum over them, in firing
+/// order, of 1 s of warm-up and 3 s of cold-record chains.
+std::pair<std::uint64_t, std::uint64_t> run_cold_records(bool wheel_on) {
+  if (wheel_on) {
+    unsetenv("CORELITE_NO_WHEEL");
+  } else {
+    setenv("CORELITE_NO_WHEEL", "1", 1);
+  }
+  constexpr std::uint32_t kChains = 20'000;
+  Simulator s;
+  ColdChains chains{s, std::vector<ColdRecord>(kChains)};
+  Rng rng{20260917};
+  for (std::uint32_t c = 0; c < kChains; ++c) {
+    chains.records[c].period = rng.uniform(0.2, 0.8);
+    chains.arm(c, TimeDelta::seconds(rng.uniform(0.0, chains.records[c].period)));
+  }
+  s.run_until(SimTime::seconds(1.0));
+  chains.fired = 0;
+  chains.checksum = 0xcbf29ce484222325ULL;
+  s.run_until(SimTime::seconds(4.0));
+  unsetenv("CORELITE_NO_WHEEL");
+  return {chains.fired, chains.checksum};
+}
+
+TEST(EventQueueTiering, ColdRecordChainsFireInHeapOnlyOrder) {
+  const auto [on_fired, on_sum] = run_cold_records(/*wheel_on=*/true);
+  const auto [off_fired, off_sum] = run_cold_records(/*wheel_on=*/false);
+  EXPECT_GT(on_fired, 100'000u);
+  EXPECT_EQ(on_fired, off_fired);
+  EXPECT_EQ(on_sum, off_sum);
 }
 
 }  // namespace

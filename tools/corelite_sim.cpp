@@ -214,10 +214,6 @@ int write_run_outputs(RunOutputs out, const TelemetryArgs& tele, const AuditArgs
     if (doc.engine != nullptr) tel::render_lp_trace(in.trace, *doc.engine);
     if (doc.fluid_cert != nullptr) tel::render_fluid_cert_trace(in.trace, in.flight);
   }
-  if (fairness != nullptr) {
-    extra.emplace_back("audit_windows", std::to_string(fairness->windows.size()));
-    extra.emplace_back("audit_watchdog", fairness->watchdog_fired ? "1" : "0");
-  }
   if (audit.on) extra.emplace_back("audit", audit.out_path);
   if (tracing) {
     out.add_wall_spans(in.trace);
