@@ -20,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "net/queue.h"
+#include "sim/block_fifo.h"
 #include "sim/random.h"
 
 namespace corelite::net {
@@ -75,7 +75,7 @@ class FredQueue final : public PacketQueue {
 
   Config cfg_;
   sim::Rng* rng_;
-  std::deque<Packet> q_;
+  sim::BlockFifo<Packet> q_;
   std::vector<FlowEntry> flows_;  ///< dense: flow id -> entry
   std::size_t tracked_ = 0;       ///< slots with present == true
   double avg_ = 0.0;

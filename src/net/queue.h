@@ -15,7 +15,7 @@
 #include <optional>
 
 #include "net/packet.h"
-#include "net/ring_buffer.h"
+#include "sim/block_fifo.h"
 #include "sim/random.h"
 #include "sim/units.h"
 
@@ -96,7 +96,7 @@ class DropTailQueue final : public PacketQueue {
 
  private:
   std::size_t capacity_;
-  RingBuffer<Packet> q_;
+  sim::BlockFifo<Packet> q_;
 };
 
 /// Classic RED (random early detection) gateway.
@@ -131,7 +131,7 @@ class RedQueue final : public PacketQueue {
 
   Config cfg_;
   sim::Rng* rng_;
-  RingBuffer<Packet> q_;
+  sim::BlockFifo<Packet> q_;
   double avg_ = 0.0;
   std::int64_t count_since_drop_ = -1;
   sim::SimTime idle_since_ = sim::SimTime::zero();

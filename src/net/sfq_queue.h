@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/queue.h"
+#include "sim/block_fifo.h"
 
 namespace corelite::net {
 
@@ -46,7 +47,7 @@ class SfqQueue final : public PacketQueue {
   std::size_t per_band_;
   std::uint64_t seed_;
   std::vector<std::deque<Packet>> queues_;
-  std::deque<Packet> control_;  // strict priority, zero-size headers
+  sim::BlockFifo<Packet> control_;  // strict priority, zero-size headers
   std::size_t next_band_ = 0;   // round-robin pointer
 };
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "net/queue.h"
+#include "sim/block_fifo.h"
 
 namespace corelite::net {
 
@@ -82,7 +83,7 @@ class WfqQueue final : public PacketQueue {
   std::vector<FlowQueue> flows_;   ///< dense: flow id -> queue state
   std::vector<FlowId> backlogged_; ///< sorted ids with non-empty queues
   std::size_t tracked_ = 0;
-  std::deque<Packet> control_;
+  sim::BlockFifo<Packet> control_;
 };
 
 }  // namespace corelite::net

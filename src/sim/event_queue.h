@@ -32,7 +32,10 @@
 //     keeps the handle.
 //   - Callbacks live in recycled slots; the wheel and heap both hold
 //     16-byte (time, seq|flags|slot) keys, so filing moves two words
-//     instead of a fat struct with a closure inside.
+//     instead of a fat struct with a closure inside.  The wheel keeps
+//     those keys in block chains fed by one bounded free list
+//     (block_fifo.h), and a collected slot is copied into the drain
+//     buffer, so steady-state scheduling allocates nothing.
 //   - The key carries a "cancellable" bit: skipping dead events only
 //     inspects slot state for events that actually own a handle, so the
 //     detached fast path never touches the slot array while peeking.

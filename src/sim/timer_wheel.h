@@ -22,7 +22,7 @@
 //
 // Lazy cascade: entries sit at their insertion level until the cursor
 // enters their slot; collect_next() then re-files them one or more
-// levels down (cost: one array write per entry per level crossed, at
+// levels down (cost: one block write per entry per level crossed, at
 // most kLevels-1 times in an entry's life, typically once).  Entries
 // never move until the wheel front actually reaches them, so cancelled
 // events simply expire in place (EventQueue filters them on pop, same
@@ -33,14 +33,24 @@
 // collected slot and merges it against the heap root, so the global
 // firing order is bit-identical to a heap-only engine — the golden
 // determinism tests pin this.
+//
+// Storage: each slot is a BlockFifo chain of 16-entry blocks drawn from
+// one free list the wheel owns, which keeps at most kFreeBlocksKept
+// spares.  A slot holds its entries plus at most one partly used block,
+// so the wheel's footprint follows the pending count rather than each
+// slot's historical peak.  An emptied level-0 slot keeps its block for
+// the next lap; an upper-level slot hands its blocks back as it
+// cascades, since it is revisited only a lap later.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "sim/block_fifo.h"
 #include "sim/hotpath.h"
 
 namespace corelite::sim {
@@ -62,25 +72,36 @@ class TimerWheel {
   /// rarely holds more than a handful of same-tick events, coarse
   /// enough that a 1 ms propagation delay spans only ~131 ticks.
   static constexpr double kTicksPerSecond = 131072.0;  // 2^17
+  /// Spare blocks the free list keeps (33 KB of 264-B blocks): a burst
+  /// beyond that goes back to the allocator as its slots drain.
+  static constexpr std::size_t kFreeBlocksKept = 128;
 
   TimerWheel() {
-    // Pre-size every slot so the steady state never allocates on the
-    // scheduling path; release() trims a drained slot back to this.
     for (Level& lv : levels_) {
-      for (auto& slot : lv.slots) slot.reserve(kSlotReserve);
+      for (Slot& slot : lv.slots) slot.use_pool(pool_);
     }
   }
 
   /// Entries currently filed in the wheel (collected ones excluded).
   [[nodiscard]] std::size_t count() const { return count_; }
 
-  /// Heap bytes the slot vectors hold (capacity, not just live entries).
-  [[nodiscard]] std::size_t stored_bytes() const {
+  /// Slots (over all levels) holding at least one entry.
+  [[nodiscard]] std::size_t occupied_slots() const {
     std::size_t n = 0;
     for (const Level& lv : levels_) {
-      for (const auto& slot : lv.slots) n += slot.capacity();
+      for (const std::uint64_t w : lv.occupied) n += static_cast<std::size_t>(std::popcount(w));
     }
-    return n * sizeof(WheelEntry);
+    return n;
+  }
+
+  /// Heap bytes the wheel's blocks take: every slot's chain and the
+  /// free list's spares.
+  [[nodiscard]] std::size_t stored_bytes() const {
+    std::size_t blocks = pool_.size();
+    for (const Level& lv : levels_) {
+      for (const Slot& slot : lv.slots) blocks += slot.blocks_held();
+    }
+    return blocks * sizeof(Slot::Block);
   }
 
   /// File an entry, or return false: non-finite or absurdly large times,
@@ -110,8 +131,8 @@ class TimerWheel {
   /// Advance the cursor to the earliest occupied level-0 tick, cascading
   /// higher-level slots as the cursor enters them, and append that
   /// tick's entries to `out` (unsorted — the caller orders by full
-  /// (time, seq)).  An empty `out` swaps storage with the slot instead
-  /// of copying it.  Precondition: count() > 0.
+  /// (time, seq)).  The slot's blocks go back to the free list.
+  /// Precondition: count() > 0.
   void collect_next(std::vector<WheelEntry>& out) {
     assert(count_ > 0 && "collect_next on an empty wheel");
     for (;;) {
@@ -122,15 +143,10 @@ class TimerWheel {
       const int j0 = l0.entries == 0 ? -1 : scan_from(l0.occupied, cursor_ & (kSlots - 1));
       if (j0 >= 0) {
         cursor_ = (cursor_ & ~kIndexMask) | static_cast<std::uint64_t>(j0);
-        auto& slot = l0.slots[static_cast<std::size_t>(j0)];
+        Slot& slot = l0.slots[static_cast<std::size_t>(j0)];
         count_ -= slot.size();
         l0.entries -= slot.size();
-        if (out.empty()) {
-          out.swap(slot);  // the slot takes the buffer's empty storage
-        } else {
-          out.insert(out.end(), slot.begin(), slot.end());
-        }
-        release(slot);
+        slot.consume([&out](WheelEntry&& e) { out.push_back(e); });
         clear_bit(l0.occupied, static_cast<std::size_t>(j0));
         return;
       }
@@ -150,21 +166,23 @@ class TimerWheel {
         // entries at the level where they now diverge from the cursor.
         cursor_ = (((cursor_ >> shift) & ~kIndexMask) | static_cast<std::uint64_t>(j))
                   << shift;
-        auto& slot = lv.slots[static_cast<std::size_t>(j)];
+        // Each source block goes back to the free list as it empties, so
+        // the destination slots refill from it: the cascade moves
+        // entries block to block.
+        Slot& slot = lv.slots[static_cast<std::size_t>(j)];
         clear_bit(lv.occupied, static_cast<std::size_t>(j));
         lv.entries -= slot.size();
         hotpath_counters().wheel_cascades += slot.size();
-        for (const WheelEntry& e : slot) {
-          const std::uint64_t tick =
-              static_cast<std::uint64_t>(e.at * kTicksPerSecond);
+        slot.consume([this](WheelEntry&& e) {
+          const std::uint64_t tick = static_cast<std::uint64_t>(e.at * kTicksPerSecond);
           const std::uint64_t diverged = tick ^ cursor_;
           const unsigned nl =
               diverged == 0
                   ? 0u
                   : (static_cast<unsigned>(std::bit_width(diverged)) - 1u) / kLevelBits;
           place(nl, tick, e);
-        }
-        release(slot);
+        });
+        slot.trim();  // revisited only a lap later
         break;  // rescan level 0, which the cascade just populated
       }
       assert(level < kLevels && "count_ > 0 but no occupied slot found");
@@ -175,9 +193,9 @@ class TimerWheel {
   /// order.  Used by EventQueue::clear(); the cursor keeps its place.
   void drain_all(std::vector<WheelEntry>& out) {
     for (Level& lv : levels_) {
-      for (auto& slot : lv.slots) {
-        out.insert(out.end(), slot.begin(), slot.end());
-        release(slot);
+      for (Slot& slot : lv.slots) {
+        slot.consume([&out](WheelEntry&& e) { out.push_back(e); });
+        slot.trim();
       }
       for (std::uint64_t& w : lv.occupied) w = 0;
       lv.entries = 0;
@@ -190,12 +208,10 @@ class TimerWheel {
   /// Ticks must survive the double->uint64 cast; anything this far out
   /// (well past the 2^32-tick horizon) overflows to the heap anyway.
   static constexpr double kMaxTick = 9.0e18;
-  static constexpr std::size_t kSlotReserve = 4;
-  /// A drained slot keeps at most this much capacity (see release()).
-  static constexpr std::size_t kSlotKeep = 64;
+  using Slot = BlockFifo<WheelEntry>;
 
   struct Level {
-    std::array<std::vector<WheelEntry>, kSlots> slots;
+    std::array<Slot, kSlots> slots;
     std::uint64_t occupied[kSlots / 64] = {};
     /// Entries filed at this level.  Steady-state traffic concentrates
     /// in level 0, so the upper levels are empty most of the time; the
@@ -207,19 +223,9 @@ class TimerWheel {
   void place(unsigned level, std::uint64_t tick, WheelEntry e) {
     const std::size_t idx = (tick >> (kLevelBits * level)) & kIndexMask;
     Level& lv = levels_[level];
-    lv.slots[idx].push_back(e);
+    lv.slots[idx].push_back(std::move(e));
     lv.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++lv.entries;
-  }
-
-  /// Empty a drained slot, returning a burst's capacity to the allocator:
-  /// an upper-level slot is revisited only a full lap later.
-  /// collect_next() swaps storage with the drain buffer, so a slot can
-  /// also come back with less than the reserve.
-  static void release(std::vector<WheelEntry>& slot) {
-    slot.clear();
-    if (slot.capacity() > kSlotKeep) std::vector<WheelEntry>().swap(slot);
-    if (slot.capacity() < kSlotReserve) slot.reserve(kSlotReserve);
   }
 
   static void clear_bit(std::uint64_t* words, std::size_t idx) {
@@ -240,6 +246,9 @@ class TimerWheel {
     }
   }
 
+  // The free list is declared first: it outlives the slots, which hand
+  // their blocks back to it when they are destroyed.
+  BlockPool<WheelEntry> pool_{kFreeBlocksKept};
   std::array<Level, kLevels> levels_;
   std::uint64_t cursor_ = 0;  ///< level-0 tick the wheel front sits on
   std::size_t count_ = 0;

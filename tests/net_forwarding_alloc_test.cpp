@@ -1,7 +1,8 @@
-// Heap allocations per forwarded hop in the steady state.  Forwarding
-// is the simulator's hot path: once pool slots, ring buffers and event
-// storage have grown to the traffic, injecting, queueing, transmitting
-// and delivering a packet must not touch the heap at all.
+// Heap allocations on the packet and event paths in the steady state.
+// Forwarding is the simulator's hot path: once pool slots, queue blocks
+// and event storage have grown to the traffic, injecting, queueing,
+// transmitting and delivering a packet must not touch the heap at all,
+// and neither must scheduling and firing events through the timer wheel.
 //
 // This binary replaces the global operator new to count allocations, so
 // it is its own test executable.
@@ -12,6 +13,7 @@
 #include <new>
 
 #include "net/network.h"
+#include "sim/block_fifo.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -78,6 +80,60 @@ TEST(ForwardingAllocations, SteadyStateHopsAllocateNothing) {
   const std::uint64_t hops = delivered - delivered0;
   EXPECT_GT(hops, 12'000u);
   EXPECT_EQ(g_allocs - allocs0, 0u) << "over " << hops << " hops";
+}
+
+// One self-rescheduling chain of detached events 1 us apart: the
+// completions of a busy link, and most of them land in the tick being
+// drained or the next few level-0 slots.
+void arm_chain(sim::Simulator& s, std::uint64_t& fired, std::uint64_t limit) {
+  s.after_detached(sim::TimeDelta::micros(1), [&s, &fired, limit] {
+    if (++fired < limit) arm_chain(s, fired, limit);
+  });
+}
+
+TEST(EventAllocations, WheelChainsAllocateNothing) {
+  constexpr int kChains = 8;
+  sim::Simulator s;
+  std::uint64_t fired = 0;
+  // Warm-up: slot storage, the drain buffer and the wheel's free list
+  // grow to the traffic.
+  for (int c = 0; c < kChains; ++c) arm_chain(s, fired, 200'000);
+  s.run();
+  fired = 0;
+  const std::uint64_t allocs0 = g_allocs;
+  for (int c = 0; c < kChains; ++c) arm_chain(s, fired, 2'100'000);
+  s.run();
+  EXPECT_GE(fired, 2'000'000u);
+  EXPECT_EQ(g_allocs - allocs0, 0u) << "over " << fired << " events";
+}
+
+TEST(BlockFifo, BoundaryCyclesAllocateNothing) {
+  constexpr std::size_t kBlock = sim::BlockFifo<net::Packet>::kBlockElems;
+  sim::BlockFifo<net::Packet> q;
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  // One element in, one out: the live element walks across a block
+  // boundary every kBlock cycles.  Pushing past a boundary takes the
+  // spare block, and popping the last element of the head block gives
+  // it back.
+  const auto cycle = [&] {
+    net::Packet p;
+    p.uid = next_in++;
+    q.push_back(std::move(p));
+    ASSERT_EQ(q.front().uid, next_out++);
+    q.pop_front();
+  };
+  for (std::size_t i = 0; i < kBlock / 2; ++i) {
+    net::Packet p;
+    p.uid = next_in++;
+    q.push_back(std::move(p));
+  }
+  for (std::size_t i = 0; i < 2 * kBlock; ++i) cycle();  // warm-up: the spare exists
+  const std::uint64_t allocs0 = g_allocs;
+  for (std::size_t i = 0; i < 100 * kBlock; ++i) cycle();
+  EXPECT_EQ(g_allocs - allocs0, 0u);
+  EXPECT_EQ(q.size(), kBlock / 2);
+  EXPECT_LE(q.blocks_held(), 3u);
 }
 
 }  // namespace

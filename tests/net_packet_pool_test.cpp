@@ -1,5 +1,5 @@
 // Unit tests for the forwarding-plane storage: the packet free-list
-// pool, its RAII loan handle, and the ring buffer behind the FIFO
+// pool, its RAII loan handle, and the block FIFO behind the packet
 // queues.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "net/packet_pool.h"
-#include "net/ring_buffer.h"
+#include "sim/block_fifo.h"
 #include "sim/simulator.h"
 
 namespace corelite::net {
@@ -115,10 +115,10 @@ TEST(PooledPacket, SimulatorRetainOutlivesPendingLoans) {
 }
 
 // ---------------------------------------------------------------------------
-// RingBuffer
+// BlockFifo
 
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> rb;
+TEST(BlockFifo, FifoOrder) {
+  sim::BlockFifo<int> rb;
   EXPECT_TRUE(rb.empty());
   for (int i = 0; i < 5; ++i) rb.push_back(int{i});
   EXPECT_EQ(rb.size(), 5u);
@@ -129,11 +129,11 @@ TEST(RingBuffer, FifoOrder) {
   EXPECT_TRUE(rb.empty());
 }
 
-TEST(RingBuffer, WrapsAroundWithoutReordering) {
-  RingBuffer<int> rb;
+TEST(BlockFifo, WrapsAroundWithoutReordering) {
+  sim::BlockFifo<int> rb;
   int next_in = 0;
   int next_out = 0;
-  // Push/pop cycles far beyond the initial capacity force wraparound.
+  // Push/pop cycles far beyond one block cross block boundaries.
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 7; ++i) rb.push_back(int{next_in++});
     for (int i = 0; i < 7; ++i) {
@@ -144,9 +144,10 @@ TEST(RingBuffer, WrapsAroundWithoutReordering) {
   EXPECT_TRUE(rb.empty());
 }
 
-TEST(RingBuffer, GrowsPreservingOrderAcrossWrapPoint) {
-  RingBuffer<int> rb;
-  // Offset the head so growth has to re-linearize a wrapped buffer.
+TEST(BlockFifo, GrowsPreservingOrderAcrossWrapPoint) {
+  sim::BlockFifo<int> rb;
+  // Offset the head so the chain starts mid-block and grows across
+  // several block boundaries.
   for (int i = 0; i < 10; ++i) rb.push_back(int{i});
   for (int i = 0; i < 10; ++i) rb.pop_front();
   for (int i = 0; i < 100; ++i) rb.push_back(int{i});
@@ -157,8 +158,8 @@ TEST(RingBuffer, GrowsPreservingOrderAcrossWrapPoint) {
   }
 }
 
-TEST(RingBuffer, IndexingAndClear) {
-  RingBuffer<int> rb;
+TEST(BlockFifo, IndexingAndClear) {
+  sim::BlockFifo<int> rb;
   for (int i = 0; i < 20; ++i) rb.push_back(int{i * 10});
   for (std::size_t i = 0; i < rb.size(); ++i) EXPECT_EQ(rb.at(i), static_cast<int>(i) * 10);
   rb.clear();
@@ -168,8 +169,8 @@ TEST(RingBuffer, IndexingAndClear) {
   EXPECT_EQ(rb.front(), 7);
 }
 
-TEST(RingBuffer, MoveOnlyElements) {
-  RingBuffer<std::unique_ptr<int>> rb;
+TEST(BlockFifo, MoveOnlyElements) {
+  sim::BlockFifo<std::unique_ptr<int>> rb;
   for (int i = 0; i < 40; ++i) rb.push_back(std::make_unique<int>(i));
   for (int i = 0; i < 40; ++i) {
     ASSERT_NE(rb.front(), nullptr);
@@ -178,11 +179,11 @@ TEST(RingBuffer, MoveOnlyElements) {
   }
 }
 
-TEST(RingBuffer, ClearReleasesLiveElements) {
-  // Regression: clear() used to reset only head_/size_, leaving the
-  // moved-in elements alive in their slots — a resource-owning element
-  // kept its resource until the slot happened to be overwritten.
-  RingBuffer<std::shared_ptr<int>> rb;
+TEST(BlockFifo, ClearReleasesLiveElements) {
+  // clear() must destroy the live elements, not just forget them: a
+  // resource-owning element would otherwise keep its resource until its
+  // storage happened to be overwritten.
+  sim::BlockFifo<std::shared_ptr<int>> rb;
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   rb.push_back(std::move(token));
@@ -191,9 +192,9 @@ TEST(RingBuffer, ClearReleasesLiveElements) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(RingBuffer, ClearThenReuseAcrossWrapPoint) {
-  RingBuffer<std::shared_ptr<int>> rb;
-  // Advance the head so the live range straddles the wrap point.
+TEST(BlockFifo, ClearThenReuseAcrossWrapPoint) {
+  sim::BlockFifo<std::shared_ptr<int>> rb;
+  // Advance the head so the live range starts mid-block.
   for (int i = 0; i < 12; ++i) rb.push_back(std::make_shared<int>(i));
   for (int i = 0; i < 12; ++i) rb.pop_front();
   std::vector<std::weak_ptr<int>> watches;
@@ -204,13 +205,61 @@ TEST(RingBuffer, ClearThenReuseAcrossWrapPoint) {
   }
   rb.clear();
   for (const auto& w : watches) EXPECT_TRUE(w.expired());
-  // The buffer stays fully usable after clear.
+  // The FIFO stays fully usable after clear.
   for (int i = 0; i < 5; ++i) rb.push_back(std::make_shared<int>(i));
   for (int i = 0; i < 5; ++i) {
     ASSERT_NE(rb.front(), nullptr);
     EXPECT_EQ(*rb.front(), i);
     rb.pop_front();
   }
+}
+
+TEST(BlockFifo, DrainedPeakHoldsAtMostOneBlock) {
+  sim::BlockFifo<int> q;
+  for (int i = 0; i < 10'000; ++i) q.push_back(int{i});
+  EXPECT_GE(q.blocks_held(), 10'000 / sim::BlockFifo<int>::kBlockElems);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_LE(q.blocks_held(), 1u);
+  // The same holds for a peak released by clear().
+  for (int i = 0; i < 10'000; ++i) q.push_back(int{i});
+  q.clear();
+  EXPECT_LE(q.blocks_held(), 1u);
+}
+
+TEST(BlockFifo, PooledFifosShareTheFreeList) {
+  sim::BlockPool<int> pool{2};
+  constexpr std::size_t kBlock = sim::BlockFifo<int>::kBlockElems;
+  {
+    sim::BlockFifo<int> a;
+    sim::BlockFifo<int> b;
+    a.use_pool(pool);
+    b.use_pool(pool);
+    for (std::size_t i = 0; i < 4 * kBlock; ++i) a.push_back(static_cast<int>(i));
+    EXPECT_EQ(a.blocks_held(), 4u);
+    EXPECT_EQ(pool.size(), 0u);
+    std::vector<int> out;
+    a.consume([&out](int&& v) { out.push_back(v); });
+    ASSERT_EQ(out.size(), 4 * kBlock);
+    for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], static_cast<int>(i));
+    // The emptied FIFO keeps its last block; the other three went back,
+    // and the one beyond the pool's two went to the allocator.
+    EXPECT_EQ(a.blocks_held(), 1u);
+    EXPECT_EQ(pool.size(), 2u);
+    a.push_back(5);  // refills the kept block
+    EXPECT_EQ(pool.size(), 2u);
+    b.push_back(7);  // takes a spare
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(b.front(), 7);
+    a.pop_front();
+    a.trim();
+    EXPECT_EQ(a.blocks_held(), 0u);
+    EXPECT_EQ(pool.size(), 2u);
+  }
+  EXPECT_EQ(pool.size(), 2u);
 }
 
 }  // namespace

@@ -147,6 +147,31 @@ TEST(TimerWheel, DrainedBurstGivesStorageBack) {
   EXPECT_LE(wheel.stored_bytes(), std::size_t{128} * 1024);
 }
 
+TEST(TimerWheel, FiledBurstStorageTracksLiveEntries) {
+  // Bytes the filed entries take at block density, the link field
+  // included, plus slack of one partly used block per occupied slot and
+  // the free list's spares.  While draining, each level-0 slot may also
+  // keep one emptied block in place for its next lap.
+  constexpr std::size_t kBlock = sizeof(FifoBlock<WheelEntry>);
+  const auto bound = [&](const TimerWheel& w, std::size_t kept_in_place) {
+    return w.count() * kBlock / FifoBlock<WheelEntry>::kElems +
+           (w.occupied_slots() + kept_in_place + TimerWheel::kFreeBlocksKept) * kBlock;
+  };
+  TimerWheel wheel;
+  const std::vector<double> burst = level2_burst(100000);
+  for (std::size_t k = 0; k < burst.size(); ++k) {
+    ASSERT_TRUE(wheel.try_insert(burst[k], k));
+    ASSERT_LE(wheel.stored_bytes(), bound(wheel, 0)) << "after " << k + 1 << " entries";
+  }
+  EXPECT_EQ(wheel.occupied_slots(), 1u);  // one level-2 window
+  std::vector<WheelEntry> out;
+  while (wheel.count() > 0) {
+    out.clear();
+    wheel.collect_next(out);
+    ASSERT_LE(wheel.stored_bytes(), bound(wheel, TimerWheel::kSlots)) << wheel.count() << " left";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EventQueue / Simulator: wheel-on and wheel-off firing order identical.
 
@@ -222,6 +247,79 @@ TEST(EventQueueTiering, BurstFiringOrderMatchesHeapOnly) {
   const std::vector<std::uint32_t> off = run_burst(/*wheel_on=*/false);
   ASSERT_EQ(on.size(), 100000u);
   EXPECT_EQ(on, off);
+}
+
+/// Seeded same-tick bursts at horizons on every wheel level.  Each
+/// burst puts 20-99 events into one tick, some at one exact time and
+/// the rest spread inside the tick, so a slot spans several storage
+/// blocks and each cascade moves whole chains.  Some events are
+/// cancelled, and every fifth firing schedules a follow-up: in the
+/// tick being drained, a few ticks out, or a level-1 horizon away.
+struct BurstRun {
+  Simulator s;
+  std::vector<std::uint32_t> fired;
+  std::uint64_t rng = 0;
+  std::uint32_t next_id = 0;
+
+  void schedule(double at) {
+    const std::uint32_t id = next_id++;
+    s.at_detached(SimTime::seconds(at), [this, id] { fire(id); });
+  }
+
+  void fire(std::uint32_t id) {
+    fired.push_back(id);
+    if (id % 5 != 0) return;
+    const double tick = 1.0 / TimerWheel::kTicksPerSecond;
+    const std::uint64_t r = mix(rng);
+    const double ahead[] = {0.0, 0.3 * tick, 3.0 * tick, 300.0 * tick};
+    schedule(s.now().sec() + ahead[r % 4]);
+  }
+};
+
+std::vector<std::uint32_t> run_random_bursts(bool wheel_on, std::uint64_t seed) {
+  if (wheel_on) {
+    unsetenv("CORELITE_NO_WHEEL");
+  } else {
+    setenv("CORELITE_NO_WHEEL", "1", 1);
+  }
+  BurstRun run;
+  run.rng = seed;
+  unsetenv("CORELITE_NO_WHEEL");
+  const double tick = 1.0 / TimerWheel::kTicksPerSecond;
+  std::vector<EventHandle> handles;
+  for (int burst = 0; burst < 300; ++burst) {
+    const std::uint64_t r = mix(run.rng);
+    // Level L holds ticks that first differ from the cursor (tick 0) in
+    // their L-th 8-bit digit: [2^(8L), 2^(8L+8)).
+    const unsigned level = static_cast<unsigned>(r % TimerWheel::kLevels);
+    const std::uint64_t lo = std::uint64_t{1} << (8 * level);
+    const std::uint64_t base = lo + mix(run.rng) % (lo * 255);
+    const std::uint64_t n = 20 + mix(run.rng) % 80;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const double within = k % 3 == 0 ? 0.0 : static_cast<double>(mix(run.rng) % 1000) / 1000.0;
+      const double at = (static_cast<double>(base) + within) * tick;
+      if (k % 7 == 0) {
+        const std::uint32_t id = run.next_id++;
+        handles.push_back(run.s.at(SimTime::seconds(at), [&run, id] { run.fire(id); }));
+      } else {
+        run.schedule(at);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+  run.s.run();
+  return run.fired;
+}
+
+TEST(EventQueueTiering, RandomSameTickBurstsFireInHeapOnlyOrder) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::uint64_t cascades0 = hotpath_counters().wheel_cascades;
+    const std::vector<std::uint32_t> on = run_random_bursts(/*wheel_on=*/true, seed);
+    EXPECT_GT(hotpath_counters().wheel_cascades, cascades0);
+    const std::vector<std::uint32_t> off = run_random_bursts(/*wheel_on=*/false, seed);
+    ASSERT_GT(on.size(), 10'000u);
+    EXPECT_EQ(on, off) << "seed " << seed;
+  }
 }
 
 TEST(EventQueueTiering, WheelEnabledReflectsEnvironment) {
