@@ -29,6 +29,7 @@
 #include "sim/hotpath.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "telemetry/manifest.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: replace global new/delete for this binary.
@@ -345,9 +346,9 @@ int main() {
 
   std::FILE* json = std::fopen("BENCH_event_engine.json", "w");
   if (json != nullptr) {
+    std::fprintf(json, "{\n");
+    corelite::telemetry::write_host_fingerprint(json, std::thread::hardware_concurrency());
     std::fprintf(json,
-                 "{\n"
-                 "  \"hw_threads\": %u,\n"
                  "  \"detached_schedule_fire\": {\n"
                  "    \"events\": %llu,\n"
                  "    \"events_per_sec\": %.0f,\n"
@@ -380,7 +381,6 @@ int main() {
                  "    \"wheel_off_ns_per_event\": %.1f\n"
                  "  }\n"
                  "}\n",
-                 std::thread::hardware_concurrency(),
                  static_cast<unsigned long long>(detached.events), detached.events_per_sec,
                  detached.allocs_per_event, static_cast<unsigned long long>(handled.events),
                  handled.events_per_sec, handled.allocs_per_event,

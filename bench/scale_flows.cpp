@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"mechanism\": \"corelite\",\n");
   std::fprintf(f, "  \"duration_sec\": %.6g,\n", curve_duration);
   std::fprintf(f, "  \"base_seed\": %llu,\n", static_cast<unsigned long long>(base_seed));
-  std::fprintf(f, "  \"hw_threads\": %zu,\n", hw_threads);
+  tel::write_host_fingerprint(f, hw_threads);
   std::fprintf(f, "  \"rows\": [\n");
   bool any_failed = false;
   for (std::size_t i = 0; i < rows.size(); ++i) {

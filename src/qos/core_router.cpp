@@ -14,10 +14,7 @@ struct CoreliteCoreRouter::LinkState final : net::LinkObserver {
   /// Built once: constructing a std::function per marker put ~92k
   /// manager-op pairs on the per-packet path of a 60 s 80-flow run.
   MarkerSelector::FeedbackFn feedback_fn;
-  stats::TimeSeries q_avg_series;
-  stats::TimeSeries fn_series;
-  stats::TimeSeries feedback_series;
-  std::uint64_t feedback_at_last_epoch = 0;
+  stats::StepIntegral q_avg;
   std::uint64_t congested_epochs = 0;
 
   LinkState(CoreliteCoreRouter* o, net::Link* l, const CoreliteConfig& cfg, sim::Rng& rng)
@@ -88,13 +85,9 @@ void CoreliteCoreRouter::on_epoch() {
   const sim::SimTime now = net_.local_sim(node_).now();
   for (auto& ls : links_) {
     const double fn = ls->detector->end_epoch(now);
-    ls->q_avg_series.add(now.sec(), ls->detector->last_q_avg());
-    ls->fn_series.add(now.sec(), fn);
+    ls->q_avg.add(now.sec(), ls->detector->last_q_avg());
     if (fn > 0.0) ++ls->congested_epochs;
     ls->selector->on_epoch(fn, ls->feedback_fn);
-    const std::uint64_t sent = ls->selector->feedback_count();
-    ls->feedback_series.add(now.sec(), static_cast<double>(sent - ls->feedback_at_last_epoch));
-    ls->feedback_at_last_epoch = sent;
   }
 }
 
@@ -103,8 +96,7 @@ std::vector<CoreliteCoreRouter::LinkDiagnostics> CoreliteCoreRouter::diagnostics
   out.reserve(links_.size());
   for (const auto& ls : links_) {
     out.push_back({ls->link->to(), ls->detector->last_q_avg(), ls->selector->feedback_count(),
-                   ls->congested_epochs, &ls->q_avg_series, &ls->fn_series,
-                   &ls->feedback_series});
+                   ls->congested_epochs, ls->q_avg});
   }
   return out;
 }

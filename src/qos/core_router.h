@@ -33,9 +33,7 @@ class CoreliteCoreRouter {
     double last_q_avg = 0.0;
     std::uint64_t feedback_sent = 0;
     std::uint64_t congested_epochs = 0;
-    const stats::TimeSeries* q_avg_series = nullptr;
-    const stats::TimeSeries* fn_series = nullptr;        ///< F_n per epoch
-    const stats::TimeSeries* feedback_series = nullptr;  ///< echoes per epoch
+    stats::StepIntegral q_avg;  ///< q_avg per epoch: q_avg.average_to(T) is its mean over [0, T]
   };
 
   /// Attaches to every outgoing link of `node` that exists at

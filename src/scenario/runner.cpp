@@ -480,12 +480,20 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   // variant gives each egress (sink-router) LP a sample clock of its own
   // for its flows, so each clock and its series have one writer — the
   // same LP that bumps the flows' delivered counters.  The clocks exist
-  // before the first (global) sample, which lands on every clock.
+  // before the first (global) sample, which lands on every clock.  Each
+  // ingress LP likewise gets a rate clock for the flows its edges pace.
   if (!lp_mode) {
     samplers.push_back(simulator.every(spec.cumulative_sample_period, [&tracker, &simulator] {
       tracker.sample_cumulative(simulator.exp_now());
     }));
   } else {
+    if (record_series) {
+      std::vector<std::vector<net::FlowId>> paced(plan.lp_count);
+      for (const GenFlow& f : flows) paced[plan.lp_of_node[f.src_router]].push_back(f.id);
+      for (const auto& ids : paced) {
+        if (!ids.empty()) tracker.add_rate_clock(ids);
+      }
+    }
     for (std::size_t lp = 0; lp < plan.lp_count; ++lp) {
       std::vector<net::FlowId> owned;
       for (const GenFlow& f : flows) {
@@ -614,8 +622,8 @@ ScenarioResult run_topology(const ScenarioSpec& spec, const GeneratedTopology& t
   for (std::size_t i = 0; i < bottleneck_links.size() && !cl_cores.empty(); ++i) {
     const GenLink& gl = topo.links[topo.bottlenecks[i]];
     for (const auto& d : cl_cores[gl.a]->diagnostics()) {
-      if (d.link_to == fab.routers[gl.b] && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
-        result.mean_q_avg.push_back(d.q_avg_series->average_over(0.0, spec.duration.sec()));
+      if (d.link_to == fab.routers[gl.b] && !d.q_avg.empty()) {
+        result.mean_q_avg.push_back(d.q_avg.average_to(spec.duration.sec()));
       }
     }
   }

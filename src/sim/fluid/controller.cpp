@@ -382,14 +382,14 @@ void FluidController::jump(SimTime target, bool capped) {
     done += d;
     if (series_on && done < dsec) tracker_.sample_cumulative(t0 + TimeDelta::seconds(done));
   }
-  for (Tracked& f : flows_) {
-    if (f.mean_delivered > 0.0) {
-      // Bracket the skipped span in the allotted-rate series at the
-      // fluid rate, so piecewise-constant window averages integrate the
-      // phase mean instead of carrying whatever control-loop oscillation
-      // sample happened to come last before the jump.
-      tracker_.record_rate(f.id, t0, f.mean_delivered);
-      tracker_.record_rate(f.id, target, f.mean_delivered);
+  // Bracket the skipped span in the allotted-rate series at the fluid
+  // rate, so piecewise-constant window averages integrate the phase mean
+  // instead of carrying whatever control-loop oscillation sample
+  // happened to come last before the jump.  Every t0 first, then every
+  // target: the flows share a rate clock, which takes times in order.
+  for (const SimTime t : {t0, target}) {
+    for (const Tracked& f : flows_) {
+      if (f.mean_delivered > 0.0) tracker_.record_rate(f.id, t, f.mean_delivered);
     }
   }
 

@@ -33,7 +33,7 @@ struct HotPathCounters {
   std::uint64_t pow_calls = 0;        ///< std::pow calls (RED-family aging, MD backoff)
   std::uint64_t rng_draws = 0;        ///< PRNG engine advances
   std::uint64_t observer_dispatches = 0;  ///< link observer callbacks invoked
-  std::uint64_t series_appends = 0;   ///< stats::TimeSeries::add() samples
+  std::uint64_t series_appends = 0;   ///< samples appended to stats series
   std::uint64_t wheel_inserts = 0;    ///< events filed in a timing-wheel slot
   std::uint64_t wheel_cascades = 0;   ///< wheel entries re-filed a level down
   std::uint64_t heap_inserts = 0;     ///< events filed in the overflow heap

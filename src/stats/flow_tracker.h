@@ -15,10 +15,11 @@
 // records its first delay sample, so a counters-only 100k-flow run
 // pays about 48 B per flow instead of a series record per flow.
 //
-// Cumulative samples are exact counts on a shared SampleClock (see
-// time_series.h): a serial run has one clock; the parallel engine gives
-// each LP a clock of its own for the flows whose egress it owns, so
-// every clock and every series on it has exactly one writer.
+// Rate and cumulative samples keep their times on shared SampleClocks
+// (see time_series.h): a serial run has one rate clock and one sample
+// clock; the parallel engine gives each LP a rate clock for the flows
+// whose ingress it owns and a sample clock for the flows whose egress
+// it owns, so every clock and every series on it has exactly one writer.
 #pragma once
 
 #include <cassert>
@@ -49,9 +50,10 @@ static_assert(sizeof(FlowCounters) == 40, "FlowCounters grew");
 
 /// A flow's measurement series, held only by flows that record one.
 struct FlowSeries {
-  explicit FlowSeries(const SampleClock& clock) : cumulative_delivered{clock} {}
+  FlowSeries(SampleClock& rate_clock, const SampleClock& clock)
+      : allotted_rate{rate_clock}, cumulative_delivered{clock} {}
 
-  TimeSeries allotted_rate;         ///< b_g(f) in packets/s vs time
+  RateSeries allotted_rate;         ///< b_g(f) in packets/s vs time
   CountSeries cumulative_delivered; ///< total data packets delivered vs time
   /// One-way delay samples (seconds), subsampled to bound memory:
   /// every `kDelaySampleStride`-th delivered packet contributes.
@@ -62,7 +64,7 @@ struct FlowSeries {
 /// and its series, which are empty shared ones for a flow that holds
 /// none.  The series references stay valid while the tracker lives.
 struct FlowRecord : FlowCounters {
-  const TimeSeries& allotted_rate;
+  const RateSeries& allotted_rate;
   const CountSeries& cumulative_delivered;
   const std::vector<double>& delay_samples;
 };
@@ -73,6 +75,7 @@ struct SeriesFootprint {
   std::size_t cumulative_points = 0;
   std::size_t delay_points = 0;
   std::size_t series_bytes = 0;  ///< rate and count blocks, block tables, sample clocks
+  std::size_t rate_bytes = 0;    ///< rate series and rate clocks (part of series_bytes)
   std::size_t delay_bytes = 0;   ///< delay-sample vectors (capacity)
   /// The per-flow-id arrays: counters, series handles and the
   /// declared-id bitmap (capacity; not the series themselves).
@@ -81,7 +84,10 @@ struct SeriesFootprint {
 
 class FlowTracker {
  public:
-  FlowTracker() { columns_.push_back(std::make_unique<Column>()); }
+  FlowTracker() {
+    columns_.push_back(std::make_unique<Column>());
+    rate_clocks_.push_back(std::make_unique<SampleClock>());
+  }
 
   /// Counters-only mode for very large populations: rate and cumulative
   /// samples are not stored (a 100k-flow run would otherwise append one
@@ -122,7 +128,7 @@ class FlowTracker {
     // Only the flow's egress writes its delay samples, so creating the
     // series here has a single writer under the parallel engine too.
     std::unique_ptr<FlowSeries>& fs = series_[id];
-    if (fs == nullptr) fs = std::make_unique<FlowSeries>(columns_.front()->clock);
+    if (fs == nullptr) fs = new_series();
     std::vector<double>& d = fs->delay_samples;
     if (d.size() == d.capacity()) d.reserve(d.empty() ? 64 : d.capacity() * 2);
     d.push_back(delay.sec());
@@ -162,6 +168,20 @@ class FlowTracker {
     return columns_.size() - 1;
   }
 
+  /// Parallel engine: a rate clock of its own for one LP's flows — those
+  /// whose ingress edge it owns, the single writer of their rate series.
+  /// Call before the first rate sample; flows must already be declared.
+  void add_rate_clock(std::span<const net::FlowId> flows) {
+    if (!series_enabled_) return;
+    SampleClock& clock = *rate_clocks_.emplace_back(std::make_unique<SampleClock>());
+    for (net::FlowId id : flows) {
+      assert(has(id) && "declare flows before giving them a clock");
+      FlowSeries& fs = *series_[id];
+      assert(fs.allotted_rate.empty() && "move flows to a clock before recording rates");
+      fs.allotted_rate = RateSeries{clock};
+    }
+  }
+
   /// Snapshot every flow's cumulative delivery counter at time t: the
   /// time goes on every clock.  Not concurrent with the per-clock form.
   void sample_cumulative(sim::SimTime t) {
@@ -189,14 +209,17 @@ class FlowTracker {
                      series_.capacity() * sizeof(std::unique_ptr<FlowSeries>) +
                      declared_.capacity() / 8;
     for (const auto& col : columns_) f.series_bytes += col->clock.bytes();
+    for (const auto& clock : rate_clocks_) f.rate_bytes += clock->bytes();
     for (const auto& fs : series_) {
       if (fs == nullptr) continue;
       f.rate_points += fs->allotted_rate.size();
       f.cumulative_points += fs->cumulative_delivered.size();
       f.delay_points += fs->delay_samples.size();
-      f.series_bytes += fs->allotted_rate.bytes() + fs->cumulative_delivered.bytes();
+      f.rate_bytes += fs->allotted_rate.bytes();
+      f.series_bytes += fs->cumulative_delivered.bytes();
       f.delay_bytes += fs->delay_samples.capacity() * sizeof(double);
     }
+    f.series_bytes += f.rate_bytes;
     return f;
   }
 
@@ -275,7 +298,12 @@ class FlowTracker {
     }
     declared_[id] = true;
     ++flow_count_;
-    if (series_enabled_) series_[id] = std::make_unique<FlowSeries>(columns_.front()->clock);
+    if (series_enabled_) series_[id] = new_series();
+  }
+
+  /// A flow's series start on the serial clocks.
+  std::unique_ptr<FlowSeries> new_series() {
+    return std::make_unique<FlowSeries>(*rate_clocks_.front(), columns_.front()->clock);
   }
 
   [[nodiscard]] std::size_t next_declared(std::size_t id) const {
@@ -290,8 +318,9 @@ class FlowTracker {
 
   /// The empty series a flow without storage reads as.
   static const FlowSeries& no_series() {
+    static SampleClock rate_clock;
     static const SampleClock clock;
-    static const FlowSeries empty{clock};
+    static const FlowSeries empty{rate_clock, clock};
     return empty;
   }
 
@@ -310,6 +339,8 @@ class FlowTracker {
   std::vector<bool> declared_;                        ///< dense: id -> declared
   std::size_t flow_count_ = 0;
   std::vector<std::unique_ptr<Column>> columns_;
+  /// Rate clocks: [0] is the serial one, then one per add_rate_clock.
+  std::vector<std::unique_ptr<SampleClock>> rate_clocks_;
   bool series_enabled_ = true;
 };
 

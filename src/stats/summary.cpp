@@ -39,15 +39,4 @@ Summary summarize(std::span<const double> values) {
   return s;
 }
 
-double convergence_time(const TimeSeries& series, double target, double t_end, double rel_tol,
-                        double abs_tol) {
-  double t = t_end;
-  while (t > 2.0) {
-    const double got = series.average_over(t - 2.0, t);
-    if (std::fabs(got - target) > rel_tol * target + abs_tol) break;
-    t -= 2.0;
-  }
-  return t;
-}
-
 }  // namespace corelite::stats

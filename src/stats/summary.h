@@ -2,6 +2,7 @@
 // the benches, tests and tools.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 
@@ -31,7 +32,16 @@ struct Summary {
 /// stays within rel_tol * target + abs_tol of `target` until `t_end`.
 /// Returns t_end when the series never settles.  (This is the
 /// convergence-time definition used throughout EXPERIMENTS.md.)
-[[nodiscard]] double convergence_time(const TimeSeries& series, double target, double t_end,
-                                      double rel_tol = 0.3, double abs_tol = 3.0);
+template <class Series>
+[[nodiscard]] double convergence_time(const StepSeries<Series>& series, double target,
+                                      double t_end, double rel_tol = 0.3, double abs_tol = 3.0) {
+  double t = t_end;
+  while (t > 2.0) {
+    const double got = series.average_over(t - 2.0, t);
+    if (std::fabs(got - target) > rel_tol * target + abs_tol) break;
+    t -= 2.0;
+  }
+  return t;
+}
 
 }  // namespace corelite::stats

@@ -64,15 +64,27 @@ double StepSeries<Series>::max_over(double t0, double t1) const {
   return m;
 }
 
-std::size_t CountSeries::bytes() const {
+namespace {
+
+/// Heap bytes of blocks whose `wide` fallback may hold kBlockPoints
+/// exact copies beside the block.
+template <class Block>
+std::size_t bytes_with_wide(const detail::BlockArray<Block>& blocks) {
   std::size_t wide = 0;
-  for (std::size_t i = 0; i < size(); i += kBlockPoints) {
-    if (counts_.block_of(i).wide) wide += kBlockPoints * sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < blocks.size(); i += kBlockPoints) {
+    if (blocks.block_of(i).wide) wide += kBlockPoints * sizeof(blocks.block_of(i).wide[0]);
   }
-  return counts_.bytes() + wide;
+  return blocks.bytes() + wide;
 }
 
+}  // namespace
+
+std::size_t RateSeries::bytes() const { return bytes_with_wide(points_); }
+
+std::size_t CountSeries::bytes() const { return bytes_with_wide(counts_); }
+
 template class StepSeries<TimeSeries>;
+template class StepSeries<RateSeries>;
 template class StepSeries<CountSeries>;
 
 }  // namespace corelite::stats

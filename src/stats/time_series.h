@@ -9,16 +9,23 @@
 // behind a pointer table.  Growth allocates one block and never copies
 // a sample, so a series holds at most one block of slack, and every
 // block of a kind has the same size (no doubling ladder of ever larger
-// buffers to fragment the heap).  Two series kinds share that layout
+// buffers to fragment the heap).  Three series kinds share that layout
 // and one read interface (StepSeries):
 //   - TimeSeries: every sample is its own 16-byte (t, v) pair.  The
-//     allotted-rate series use it: each flow samples at its own epochs.
-//   - CountSeries: exact integer counts whose times live in a
-//     SampleClock shared by every series sampled at the same instants.
-//     The cumulative-service series use it: a sampler snapshots all of
-//     its flows at once, so one time column serves them all and a count
-//     costs 4 bytes (a 64-bit base per block plus 32-bit offsets).
+//     bottleneck queue series use it.
+//   - RateSeries: values whose times live on a SampleClock owned by
+//     their writer.  The allotted-rate series use it: an edge records
+//     every active flow at the same epoch instant, so one clock entry
+//     serves them all and a point costs its 8-byte value plus a 16-bit
+//     clock offset from a per-block 32-bit base (about 10.25 bytes).
+//   - CountSeries: exact integer counts sampled on a SampleClock, one
+//     count per clock time.  The cumulative-service series use it: a
+//     sampler snapshots all of its flows at once, so a count costs 4
+//     bytes (a 64-bit base per block plus 32-bit offsets).
 // Readers see the same (t, v) doubles in the same order either way.
+//
+// StepIntegral keeps no samples at all: a running integral of a step
+// function for readers that want only its mean over [0, T].
 #pragma once
 
 #include <array>
@@ -219,9 +226,7 @@ class StepSeries {
 
 class TimeSeries : public StepSeries<TimeSeries> {
  public:
-  /// Append a sample.  Times must be non-decreasing.  Inline: samples
-  /// arrive once per adaptation epoch per flow — a per-packet-scale
-  /// rate in big scenarios — so the append must not pay a call.
+  /// Append a sample.  Times must be non-decreasing.
   void add(double t, double v) {
     assert((empty() || t >= time(size() - 1)) && "samples must be time-ordered");
     ++sim::hotpath_counters().series_appends;
@@ -244,14 +249,23 @@ class TimeSeries : public StepSeries<TimeSeries> {
 };
 
 /// One shared column of sample times.  Every CountSeries on the clock
-/// takes exactly one count per time, so the clock and its series must
-/// have a single writer (one sampler; see FlowTracker).
+/// takes exactly one count per time; RateSeries points name the time
+/// they were taken at.  Either way the clock and its series must have a
+/// single writer (one sampler, or one LP's edges; see FlowTracker).
 class SampleClock {
  public:
   void add(double t) {
-    assert((size() == 0 || t >= time(size() - 1)) && "samples must be time-ordered");
+    assert(t >= newest_ && "samples must be time-ordered");
     const std::size_t i = times_.size();
     times_.push()[i % kBlockPoints] = t;
+    newest_ = t;
+  }
+  /// Index of time t: the newest entry when t equals it, else a new
+  /// entry.  t must not precede the newest time.
+  std::uint32_t tick(double t) {
+    if (t > newest_) add(t);
+    assert(t == newest_ && "samples must be time-ordered on their clock");
+    return static_cast<std::uint32_t>(size() - 1);
   }
   [[nodiscard]] std::size_t size() const { return times_.size(); }
   [[nodiscard]] double time(std::size_t i) const { return times_.block_of(i)[i % kBlockPoints]; }
@@ -260,6 +274,66 @@ class SampleClock {
  private:
   using Block = std::array<double, kBlockPoints>;
   detail::BlockArray<Block> times_;
+  double newest_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Values sampled at arbitrary times on a SampleClock the writer owns:
+/// add(t, v) puts t on the clock unless it is already the newest entry,
+/// so series written at the same instants share their times.
+class RateSeries : public StepSeries<RateSeries> {
+ public:
+  explicit RateSeries(SampleClock& clock) : clock_{&clock} {}
+
+  /// Append a sample.  Times must be non-decreasing across every series
+  /// on the clock.  Inline: edges append once per flow per adaptation
+  /// epoch — a per-packet-scale rate in big scenarios.
+  void add(double t, double v) {
+    ++sim::hotpath_counters().series_appends;
+    const std::uint32_t tick = clock_->tick(t);
+    const std::size_t i = points_.size();
+    Block& b = points_.push();
+    const std::size_t j = i % kBlockPoints;
+    if (j == 0) b.base = tick;
+    b.set_tick(j, tick);
+    b.v[j] = v;
+  }
+
+  [[nodiscard]] std::size_t size() const { return points_.size(); }
+  [[nodiscard]] double time(std::size_t i) const {
+    return clock_->time(points_.block_of(i).tick(i % kBlockPoints));
+  }
+  [[nodiscard]] double value(std::size_t i) const {
+    return points_.block_of(i).v[i % kBlockPoints];
+  }
+  /// Heap bytes the series holds (its clock is counted by the owner).
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  /// 16-bit clock offsets from a 32-bit base.  A block whose points
+  /// span more than 65,535 clock entries (a flow idle while others on
+  /// its clock keep sampling) keeps 32-bit indices instead.
+  struct Block {
+    std::unique_ptr<std::uint32_t[]> wide;
+    std::uint32_t base;
+    std::uint16_t off[kBlockPoints];
+    double v[kBlockPoints];
+
+    [[nodiscard]] std::uint32_t tick(std::size_t j) const { return wide ? wide[j] : base + off[j]; }
+    void set_tick(std::size_t j, std::uint32_t tick) {
+      if (!wide && tick - base > std::numeric_limits<std::uint16_t>::max()) {
+        wide = std::make_unique<std::uint32_t[]>(kBlockPoints);
+        for (std::size_t k = 0; k < j; ++k) wide[k] = base + off[k];
+      }
+      if (wide) {
+        wide[j] = tick;
+      } else {
+        off[j] = static_cast<std::uint16_t>(tick - base);
+      }
+    }
+  };
+
+  SampleClock* clock_;
+  detail::BlockArray<Block> points_;
 };
 
 /// Exact integer counts sampled on a SampleClock.  The series' first
@@ -323,22 +397,54 @@ class CountSeries : public StepSeries<CountSeries> {
   detail::BlockArray<Block> counts_;
 };
 
-/// Non-owning reference to either series kind, for writers that take a
+/// Non-owning reference to any series kind, for writers that take a
 /// mix of them by name.
 class SeriesRef {
  public:
-  SeriesRef(const TimeSeries& s) : rate_{&s} {}    // NOLINT(google-explicit-constructor)
-  SeriesRef(const CountSeries& s) : count_{&s} {}  // NOLINT(google-explicit-constructor)
-  [[nodiscard]] double value_at(double t) const {
-    return rate_ != nullptr ? rate_->value_at(t) : count_->value_at(t);
+  template <class Series>
+  SeriesRef(const StepSeries<Series>& s)  // NOLINT(google-explicit-constructor)
+      : series_{&s}, value_at_{[](const void* p, double t) {
+          return static_cast<const StepSeries<Series>*>(p)->value_at(t);
+        }} {}
+  [[nodiscard]] double value_at(double t) const { return value_at_(series_, t); }
+
+ private:
+  const void* series_;
+  double (*value_at_)(const void*, double);
+};
+
+/// Running integral of a step function fed in time order: average_to(T)
+/// is bit for bit what StepSeries::average_over(0, T) returns for the
+/// same samples, without keeping them.  T must not precede the last
+/// sample.
+class StepIntegral {
+ public:
+  void add(double t, double v) {
+    // average_over's steps: samples at or before 0 set the value carried
+    // from 0; each later one closes the previous value's segment.
+    if (t > t_) {
+      integral_ += v_ * (t - t_);
+      t_ = t;
+    }
+    v_ = v;
+    any_ = true;
+  }
+  [[nodiscard]] bool empty() const { return !any_; }
+  [[nodiscard]] double average_to(double t1) const {
+    if (t1 <= 0.0 || !any_) return 0.0;
+    assert(t1 >= t_ && "the mean's horizon precedes a sample");
+    return (integral_ + v_ * (t1 - t_)) / t1;
   }
 
  private:
-  const TimeSeries* rate_ = nullptr;
-  const CountSeries* count_ = nullptr;
+  double integral_ = 0.0;
+  double t_ = 0.0;  ///< time of the last sample after 0, else 0
+  double v_ = 0.0;  ///< value of the last sample
+  bool any_ = false;
 };
 
 extern template class StepSeries<TimeSeries>;
+extern template class StepSeries<RateSeries>;
 extern template class StepSeries<CountSeries>;
 
 }  // namespace corelite::stats

@@ -135,15 +135,27 @@ inline void print_hotpath_profile(const std::string& scope) {
   std::printf("  %-20s %11.1f%%\n", "wheel_insert_rate", c.wheel_insert_rate() * 100.0);
 }
 
-/// --profile on a single run: what the run's measurement series hold.
-inline void print_series_footprint(const stats::FlowTracker& tracker) {
-  const stats::SeriesFootprint f = tracker.footprint();
-  std::printf("  series footprint     %12.2f MB  (rate %zu, cumulative %zu, delay %zu points; "
-              "delay %.2f MB)\n",
-              static_cast<double>(f.series_bytes + f.delay_bytes) / 1e6, f.rate_points,
-              f.cumulative_points, f.delay_points, static_cast<double>(f.delay_bytes) / 1e6);
+/// --profile on a single run: what the run's measurement series hold —
+/// the tracker's rate, cumulative and delay storage with their sample
+/// clocks, plus the bottleneck queue series.
+inline void print_series_footprint(const scenario::ScenarioResult& result) {
+  const stats::SeriesFootprint f = result.tracker.footprint();
+  std::size_t queue_points = 0;
+  std::size_t queue_bytes = 0;
+  for (const stats::TimeSeries& q : result.queue_series) {
+    queue_points += q.size();
+    queue_bytes += q.bytes();
+  }
+  const double rate_point_bytes =
+      f.rate_points == 0 ? 0.0
+                         : static_cast<double>(f.rate_bytes) / static_cast<double>(f.rate_points);
+  std::printf("  series footprint     %12.2f MB  (rate %zu points at %.2f B each, cumulative %zu, "
+              "delay %zu, queue %zu points; delay %.2f MB, queue %.2f MB)\n",
+              static_cast<double>(f.series_bytes + f.delay_bytes + queue_bytes) / 1e6,
+              f.rate_points, rate_point_bytes, f.cumulative_points, f.delay_points, queue_points,
+              static_cast<double>(f.delay_bytes) / 1e6, static_cast<double>(queue_bytes) / 1e6);
   std::printf("  flow records         %12.2f MB  (%zu flows)\n",
-              static_cast<double>(f.record_bytes) / 1e6, tracker.flow_count());
+              static_cast<double>(f.record_bytes) / 1e6, result.tracker.flow_count());
 }
 
 }  // namespace corelite::telemetry

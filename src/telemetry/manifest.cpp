@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include "stats/json_writer.h"
 #include "telemetry/metrics.h"
@@ -19,13 +20,40 @@
 namespace corelite::telemetry {
 
 std::string_view BuildInfo::git_sha() { return CORELITE_GIT_SHA; }
-#ifdef __VERSION__
+#if defined(__GNUC__) && !defined(__clang__)
+std::string_view BuildInfo::compiler() { return "GCC " __VERSION__; }
+#elif defined(__VERSION__)
 std::string_view BuildInfo::compiler() { return __VERSION__; }
 #else
 std::string_view BuildInfo::compiler() { return "unknown"; }
 #endif
 std::string_view BuildInfo::flags() { return CORELITE_BUILD_FLAGS; }
 std::string_view BuildInfo::build_type() { return CORELITE_BUILD_TYPE; }
+
+namespace {
+
+/// Host CPU model: /proc/cpuinfo's first "model name", else "unknown".
+std::string cpu_model() {
+  std::ifstream in{"/proc/cpuinfo"};
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+void write_host_fingerprint(std::FILE* f, std::size_t hw_threads) {
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", stats::json_escape(cpu_model()).c_str());
+  std::fprintf(f, "  \"compiler\": \"%s\",\n", stats::json_escape(BuildInfo::compiler()).c_str());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n",
+               stats::json_escape(BuildInfo::build_type()).c_str());
+  std::fprintf(f, "  \"hw_threads\": %zu,\n", hw_threads);
+}
 
 std::string digest_hex(std::uint64_t digest) {
   char buf[24];

@@ -11,7 +11,9 @@
 // check_telemetry.py does exactly that in CI).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -30,6 +32,11 @@ struct BuildInfo {
   [[nodiscard]] static std::string_view flags();
   [[nodiscard]] static std::string_view build_type();
 };
+
+/// Write the host fingerprint a BENCH_*.json file leads with — CPU
+/// model, compiler, build type and hardware threads — as top-level JSON
+/// members, each line indented two spaces and ending in a comma.
+void write_host_fingerprint(std::FILE* f, std::size_t hw_threads);
 
 /// 16-digit lower-case hex, the format every binary prints digests in.
 [[nodiscard]] std::string digest_hex(std::uint64_t digest);

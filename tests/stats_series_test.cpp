@@ -207,6 +207,22 @@ TEST(BlockSeries, RecycledBlocksComeBackEmpty) {
   }
   for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(narrow.count(i), 7 + i);
   EXPECT_EQ(narrow.bytes(), narrow_bytes);
+
+  // The same for a rate block that went to 32-bit clock indices.
+  SampleClock rate_clock;
+  std::size_t rate_bytes = 0;
+  {
+    RateSeries wide{rate_clock};
+    wide.add(0.0, 1.0);
+    rate_bytes = wide.bytes();
+    for (int i = 1; i <= 70'000; ++i) rate_clock.add(static_cast<double>(i));
+    wide.add(70'000.0, 2.0);
+    ASSERT_EQ(wide.bytes(), rate_bytes + kBlockPoints * sizeof(std::uint32_t));
+  }
+  RateSeries rate{rate_clock};
+  for (int i = 0; i < 3; ++i) rate.add(70'001.0 + i, i);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(rate.time(i), 70'001.0 + i);
+  EXPECT_EQ(rate.bytes(), rate_bytes);
 }
 
 TEST(BlockSeries, GrowthKeepsAtMostOneBlockOfSlack) {
@@ -224,6 +240,105 @@ TEST(BlockSeries, GrowthKeepsAtMostOneBlockOfSlack) {
     const std::size_t table = std::max<std::size_t>(4, 2 * blocks) * sizeof(void*);
     EXPECT_LE(s.bytes(), blocks * kBlockPoints * sizeof(SeriesPoint) + table);
     EXPECT_LE(c.bytes(), blocks * (kBlockPoints * 4 + 24) + table);
+  }
+}
+
+TEST(BlockSeries, RateSeriesOnASharedClockReadsMatchVectorReference) {
+  // Three flows on one clock, the way an edge writes them: every active
+  // flow at each epoch instant, plus off-epoch start/stop points (their
+  // own instants), repeated points at one instant, and a flow that
+  // stops, idles past 65,535 clock entries and starts again.
+  std::mt19937_64 rng{13};
+  SampleClock clock;
+  std::vector<RateSeries> flows;
+  std::vector<RefSeries> refs(3);
+  for (int k = 0; k < 3; ++k) flows.emplace_back(clock);
+  auto add = [&](std::size_t f, double t, double v) {
+    flows[f].add(t, v);
+    refs[f].add(t, v);
+  };
+  std::normal_distribution<double> val(50.0, 30.0);
+  double t = 0.0;
+  bool idle = false;  // flow 2 stops at round 300 and restarts at round 70,300
+  for (int round = 0; round < 70'600; ++round) {
+    t += 0.1;
+    if (round == 300) {
+      add(2, t - 0.05, 0.0);  // a stop between epochs
+      idle = true;
+    }
+    if (round == 70'300) {
+      add(2, t - 0.05, 1.0);  // a start between epochs, then two points at it
+      add(2, t - 0.05, 2.0);
+      idle = false;
+    }
+    for (std::size_t f = 0; f < 3; ++f) {
+      if (f == 2 && idle) continue;
+      if (f == 1 && round % 3 != 0) continue;  // a flow with a longer epoch
+      add(f, t, val(rng));
+    }
+    if (round % 97 == 0) add(0, t, val(rng));  // a second point at one instant
+  }
+  // Each instant is on the clock once, however many points name it.
+  std::vector<double> instants;
+  for (const RefSeries& ref : refs) {
+    for (const SeriesPoint& p : ref.pts) instants.push_back(p.t);
+  }
+  std::sort(instants.begin(), instants.end());
+  instants.erase(std::unique(instants.begin(), instants.end()), instants.end());
+  ASSERT_EQ(clock.size(), instants.size());
+  ASSERT_GT(clock.size(), 70'000u);
+  for (std::size_t f = 0; f < 3; ++f) {
+    SCOPED_TRACE(f);
+    expect_same_reads(flows[f], refs[f], rng);
+  }
+  // The block holding flow 2's stop and restart spans the idle gap, so it
+  // alone keeps 32-bit indices.
+  SampleClock dense;
+  RateSeries narrow{dense};
+  for (std::size_t i = 0; i < flows[2].size(); ++i) narrow.add(static_cast<double>(i), 0.0);
+  EXPECT_EQ(flows[2].bytes(), narrow.bytes() + kBlockPoints * sizeof(std::uint32_t));
+}
+
+TEST(BlockSeries, RateSeriesCostsUnder10AndAHalfBytesPerPoint) {
+  // 100k points on a clock shared with other series, so the clock's own
+  // bytes are spread over them (its owner counts them).
+  constexpr std::size_t kPoints = 100'000;
+  SampleClock clock;
+  RateSeries s{clock};
+  RateSeries other{clock};
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    s.add(0.1 * static_cast<double>(i), 1.0);
+    other.add(0.1 * static_cast<double>(i), 2.0);
+  }
+  const double per_point = static_cast<double>(s.bytes()) / kPoints;
+  RecordProperty("rate_bytes_per_point", std::to_string(per_point));
+  EXPECT_LE(per_point, 10.5);
+}
+
+TEST(StepIntegral, RunningMeanIsAverageOverBitForBit) {
+  // Random time-ordered samples with ties, some at exactly 0 and some at
+  // exactly the horizon T: the running mean over [0, T] must be the
+  // stored series' average_over(0, T), bit for bit.
+  std::mt19937_64 rng{14};
+  std::normal_distribution<double> val(20.0, 15.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = rng() % 300;
+    auto times = sample_times(n, rng);
+    const std::size_t at_zero = n == 0 ? 0 : rng() % std::min<std::size_t>(n, 4);
+    for (std::size_t i = 0; i < at_zero; ++i) times[i] = 0.0;
+    double T = times.empty() ? 1.0 + static_cast<double>(rng() % 10) : times.back();
+    if (trial % 3 == 0) T += 0.5;  // else the last samples sit exactly at T
+    StepIntegral running;
+    TimeSeries stored;
+    for (double t : times) {
+      const double v = std::abs(val(rng));
+      running.add(t, v);
+      stored.add(t, v);
+    }
+    EXPECT_EQ(running.empty(), stored.empty());
+    EXPECT_EQ(bits(running.average_to(T)), bits(stored.average_over(0.0, T)));
+    EXPECT_EQ(bits(running.average_to(0.0)), bits(stored.average_over(0.0, 0.0)));
   }
 }
 
@@ -299,6 +414,46 @@ TEST(FlowTrackerClocks, PerLpSamplingReadsLikeSerialSampling) {
       EXPECT_EQ(bits(got.at(id)[k].v), bits(want.at(id)[k].v)) << k;
       EXPECT_EQ(bits(got.at(id)[k].t), bits(ref.at(id)[k].t)) << k;
       EXPECT_EQ(bits(got.at(id)[k].v), bits(ref.at(id)[k].v)) << k;
+    }
+  }
+}
+
+TEST(FlowTrackerClocks, PerLpRateClocksReadLikeTheSerialClock) {
+  // Each ingress LP records its flows' rates on a clock of its own; the
+  // LPs run in either order within a round.  Per flow, the (t, v)
+  // sequence must equal the serial tracker's, which has one clock.
+  FlowTracker lp;
+  FlowTracker serial;
+  for (net::FlowId id = 1; id <= 6; ++id) {
+    lp.declare_flow(id, 1.0);
+    serial.declare_flow(id, 1.0);
+  }
+  const std::vector<net::FlowId> lp0{1, 3, 4};
+  const std::vector<net::FlowId> lp1{2, 5, 6};
+  lp.add_rate_clock(lp0);
+  lp.add_rate_clock(lp1);
+  auto record = [&](FlowTracker& t, const std::vector<net::FlowId>& ids, double at, int round) {
+    for (net::FlowId id : ids) {
+      t.record_rate(id, sim::SimTime::seconds(at + 0.01 * id), 10.0 * id + round);
+    }
+  };
+  for (int round = 0; round < 3 * static_cast<int>(kBlockPoints); ++round) {
+    const double t = 0.5 * round;
+    record(lp, round % 2 == 0 ? lp1 : lp0, t, round);
+    record(lp, round % 2 == 0 ? lp0 : lp1, t, round);
+    record(serial, {1, 2, 3, 4, 5, 6}, t, round);
+  }
+  for (net::FlowId id = 1; id <= 6; ++id) {
+    SCOPED_TRACE(id);
+    std::vector<SeriesPoint> got;
+    std::vector<SeriesPoint> want;
+    for (const auto p : lp.series(id).allotted_rate) got.push_back(p);
+    for (const auto p : serial.series(id).allotted_rate) want.push_back(p);
+    ASSERT_EQ(got.size(), 3 * kBlockPoints);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(bits(got[k].t), bits(want[k].t)) << k;
+      EXPECT_EQ(bits(got[k].v), bits(want[k].v)) << k;
     }
   }
 }

@@ -2,8 +2,10 @@
 // document every binary emits behind --telemetry.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "telemetry/manifest.h"
 #include "telemetry/metrics.h"
@@ -24,6 +26,28 @@ TEST(Manifest, BuildInfoIsAlwaysPopulated) {
   EXPECT_FALSE(BuildInfo::compiler().empty());
   EXPECT_FALSE(BuildInfo::flags().empty());
   EXPECT_FALSE(BuildInfo::build_type().empty());
+}
+
+TEST(Manifest, HostFingerprintLeadsABenchDocument) {
+  // The four members a BENCH_*.json file starts with, each a complete
+  // JSON member line, so the caller's document stays valid.
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  write_host_fingerprint(f, 6);
+  std::rewind(f);
+  std::string out;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) out.push_back(static_cast<char>(c));
+  std::fclose(f);
+  std::istringstream lines{out};
+  std::vector<std::string> keys;
+  for (std::string line; std::getline(lines, line);) {
+    ASSERT_EQ(line.rfind("  \"", 0), 0u) << line;
+    ASSERT_EQ(line.back(), ',') << line;
+    keys.push_back(line.substr(3, line.find('"', 3) - 3));
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"cpu_model", "compiler", "build_type", "hw_threads"}));
+  EXPECT_NE(out.find("\"hw_threads\": 6,"), std::string::npos);
+  EXPECT_NE(out.find(std::string{BuildInfo::compiler()}), std::string::npos);
 }
 
 TEST(Manifest, DocumentCarriesEveryRequiredKey) {

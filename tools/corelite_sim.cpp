@@ -531,7 +531,7 @@ int main(int argc, char** argv) {
   }
   if (parser.get_flag("profile")) {
     tel::print_hotpath_profile("process totals");
-    tel::print_series_footprint(result.tracker);
+    tel::print_series_footprint(result);
   }
 
   RunOutputs out;
